@@ -37,6 +37,10 @@ class EmptyTestSet(PunctError):
     """Evaluation received no test utterances."""
 
 
+class PredictionLengthMismatch(PunctError):
+    """A model returned a different number of labels than it got tokens."""
+
+
 class KTooLarge(PunctError):
     """Selection size k exceeds the candidate pool."""
 

@@ -12,7 +12,12 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .corpus import CLASS_ORDER, LabeledUtterance, PunctClass
-from .errors import BadFractions, EmptyTestSet, UnknownClass
+from .errors import (
+    BadFractions,
+    EmptyTestSet,
+    PredictionLengthMismatch,
+    UnknownClass,
+)
 from .postprocess import RepairPolicy, repair_pairing
 
 _FRACTION_TOLERANCE = 1e-9
@@ -130,7 +135,8 @@ def evaluate(
     """Score a model on labeled utterances.
 
     With apply_repair the predictions go through pairing repair first,
-    exactly as they would when serving.
+    exactly as they would when serving.  A model that returns the wrong
+    number of labels raises PredictionLengthMismatch.
     """
     if not test:
         raise EmptyTestSet("no test utterances")
@@ -145,6 +151,10 @@ def evaluate(
     tokens_seen = 0
     for u in test:
         pred = model.predict(list(u.tokens))
+        if len(pred) != len(u.labels):
+            raise PredictionLengthMismatch(
+                f"model returned {len(pred)} labels for {len(u.labels)} tokens"
+            )
         if apply_repair:
             pred = repair_pairing(pred, repair_policy)
         for gold_label, pred_label in zip(u.labels, pred):

@@ -12,7 +12,6 @@ stdin/stdout or a TCP socket.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import socketserver
 import time
@@ -53,7 +52,13 @@ from .selection import (
     train_ngram,
     write_selection_report,
 )
-from .tagger import Strategy, TrainConfig, oversample, run_strategy
+from .tagger import (
+    PerceptronBackend,
+    Strategy,
+    TrainConfig,
+    oversample,
+    run_strategy,
+)
 
 SCHEMA_VERSION = 1
 SPANISH_SOURCES = ("indomain", "ldc", "opensubtitle")
@@ -338,22 +343,13 @@ def _as_labeled(records: Sequence, origin: str) -> list[LabeledUtterance]:
     return out
 
 
-def _content_hash(u: LabeledUtterance) -> str:
-    payload = json.dumps(
-        [list(u.tokens), [lab.name for lab in u.labels]],
-        ensure_ascii=False,
-        separators=(",", ":"),
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
 def _dedup(corpus: Sequence[LabeledUtterance]) -> list[LabeledUtterance]:
     # Content-duplicate utterances would land on both sides of the split
     # and trip the leakage check; keep the first occurrence only.
-    seen: set[str] = set()
+    seen: set[tuple] = set()
     out = []
     for u in corpus:
-        key = _content_hash(u)
+        key = (u.tokens, u.labels)
         if key not in seen:
             seen.add(key)
             out.append(u)
@@ -362,11 +358,11 @@ def _dedup(corpus: Sequence[LabeledUtterance]) -> list[LabeledUtterance]:
 
 def _check_leakage(
     training: Sequence[LabeledUtterance],
-    test_hashes: set[str],
+    test_keys: set[tuple],
     row_name: str,
 ) -> None:
     for u in training:
-        if _content_hash(u) in test_hashes:
+        if (u.tokens, u.labels) in test_keys:
             raise DataLeakageError(
                 f"row {row_name!r}: test utterance {' '.join(u.tokens[:5])!r}... "
                 "appears in the training data"
@@ -405,7 +401,7 @@ def run_experiment(config: ExperimentConfig) -> list[EvalReport]:
         write_jsonl(es_train, out_dir / "es_train.jsonl")
         write_jsonl(es_dev, out_dir / "es_dev.jsonl")
         write_jsonl(es_test, out_dir / "es_test.jsonl")
-        test_hashes = {_content_hash(u) for u in es_test}
+        test_keys = {(u.tokens, u.labels) for u in es_test}
 
         selected = None
         if pool is not None:
@@ -461,6 +457,8 @@ def run_experiment(config: ExperimentConfig) -> list[EvalReport]:
 
         reports = []
         comparison_rows = []
+        # One backend per run: rows that share a training phase share it.
+        backend = PerceptronBackend()
         for row in config.rows:
             stage = f"train:{row.name}"
             parts = {"indomain": es_train}
@@ -480,11 +478,13 @@ def run_experiment(config: ExperimentConfig) -> list[EvalReport]:
                 if name != "indomain":
                     es_data.extend(parts[name])
             en_data = en_converted if row.strategy is not Strategy.ES_ONLY else None
-            _check_leakage(es_data, test_hashes, row.name)
+            _check_leakage(es_data, test_keys, row.name)
             if en_data is not None:
-                _check_leakage(en_data, test_hashes, row.name)
+                _check_leakage(en_data, test_keys, row.name)
             write_jsonl(es_data, out_dir / f"train_es_{row.name}.jsonl")
-            model = run_strategy(row.strategy, es_data, en_data, config.train)
+            model = run_strategy(
+                row.strategy, es_data, en_data, config.train, backend=backend
+            )
             model.save(out_dir / f"model_{row.name}.json")
 
             stage = f"eval:{row.name}"
@@ -518,6 +518,8 @@ def run_experiment(config: ExperimentConfig) -> list[EvalReport]:
                     report.macro_f1_non_none,
                 )
             )
+            # Free this row's model before the next row trains.
+            del model
 
         stage = "compare"
         _write_comparison(comparison_rows, out_dir)

@@ -4,16 +4,27 @@ The decoder runs left to right and feeds its own previous prediction
 back in as a feature, so training updates on decode-time features rather
 than gold history.  Weights are averaged over every utterance-level
 snapshot, which is what makes the otherwise twitchy perceptron stable.
+
+Training and prediction share one decoder, `_decode`.  Only the `prev=`
+feature depends on the decoded history, so the other sixteen templates
+are built once per utterance (`_static_features`) from a per-token-type
+cache, and `prev=` is spliced in between at each position.
+`_feature_list` remains the readable definition of the templates; tests
+hold the fast path to it.  `PerceptronBackend` memoizes fresh training
+phases, so a grid that trains the same Spanish phase for two strategies
+trains it once.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from pathlib import Path
-from typing import Protocol, Sequence
+from typing import Callable, Protocol, Sequence
 
 from .corpus import LabeledUtterance, PunctClass
 from .errors import (
@@ -120,6 +131,106 @@ def featurize(tokens: Sequence[str], i: int, prev_label: str) -> set[str]:
     return set(_feature_list(tokens, i, prev_label, lowered))
 
 
+class _TokenFeatures:
+    """Feature strings that depend only on one token type.
+
+    The window slots are the strings this token contributes when it sits
+    at that offset from the position being decoded.
+    """
+
+    __slots__ = ("word", "w_m2", "w_m1", "w0", "w_p1", "w_p2", "affixes", "shape")
+
+    def __init__(self, token: str):
+        w = token.lower()
+        self.word = w
+        self.w_m2 = "w-2=" + w
+        self.w_m1 = "w-1=" + w
+        self.w0 = "w0=" + w
+        self.w_p1 = "w+1=" + w
+        self.w_p2 = "w+2=" + w
+        affixes = []
+        for length in (1, 2, 3):
+            if length <= len(w):
+                affixes.append(f"pre{length}=" + w[:length])
+                affixes.append(f"suf{length}=" + w[-length:])
+        self.affixes = tuple(affixes)
+        self.shape = "shape=" + _word_shape(token)
+
+
+# Padding for the window; only word and the window slots are read.
+_BOS_PAD = _TokenFeatures(_BOS_WORD)
+_EOS_PAD = _TokenFeatures(_EOS_WORD)
+
+_Static = list[tuple[tuple[str, ...], tuple[str, ...]]]
+
+
+def _static_features(
+    tokens: Sequence[str], cache: dict[str, _TokenFeatures]
+) -> _Static:
+    """Per position, every feature except prev= as a (head, tail) pair.
+
+    head + ("prev=" + label,) + tail equals _feature_list(...) for that
+    position.  cache maps token -> _TokenFeatures and may be shared by
+    every utterance of one training phase or one predict call.
+    """
+    window = [_BOS_PAD, _BOS_PAD]
+    for t in tokens:
+        entry = cache.get(t)
+        if entry is None:
+            entry = cache[t] = _TokenFeatures(t)
+        window.append(entry)
+    window += (_EOS_PAD, _EOS_PAD)
+    last = len(tokens) - 1
+    out = []
+    for i in range(len(tokens)):
+        m2, m1, cur, p1, p2 = window[i : i + 5]
+        w = cur.word
+        head = (m2.w_m2, m1.w_m1, cur.w0, p1.w_p1, p2.w_p2) + cur.affixes
+        if i == 0:
+            head += ("first",)
+        if i == last:
+            head += ("last",)
+        tail = (cur.shape, "wb-1=" + m1.word + "|" + w, "wb+1=" + w + "|" + p1.word)
+        out.append((head, tail))
+    return out
+
+
+def _decode(
+    weights: dict[str, dict[int, float]],
+    static: _Static,
+    label_set: Sequence[str],
+    gold: Sequence[int] | None = None,
+    on_mistake: Callable[[tuple[str, ...], int, int], None] | None = None,
+) -> list[int]:
+    """Greedy left-to-right decode; returns label indices.
+
+    Ties go to the earliest label.  Scores sum weights in template
+    order, so results are bit-for-bit those of _feature_list.  Given
+    gold indices, every wrong guess calls on_mistake(feats, gold, guess);
+    decoding continues from the guess, so training sees its own history.
+    """
+    get = weights.get
+    prev_feats = [("prev=" + name,) for name in label_set]
+    prev = ("prev=" + _BOS_LABEL,)
+    zeros = [0.0] * len(label_set)
+    out = []
+    for i, (head, tail) in enumerate(static):
+        feats = head + prev + tail
+        scores = zeros[:]
+        for f in feats:
+            row = get(f)
+            if row:
+                for li, w in row.items():
+                    scores[li] += w
+        # max keeps its first strict maximum, the same as a `>` scan.
+        best = scores.index(max(scores))
+        if gold is not None and best != gold[i]:
+            on_mistake(feats, gold[i], best)
+        prev = prev_feats[best]
+        out.append(best)
+    return out
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 5
@@ -129,6 +240,25 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+
+
+def _checked_label_set(raw: object) -> tuple[str, ...]:
+    """A loaded label set: non-empty, no repeats, PunctClass names only."""
+    if not isinstance(raw, list) or not raw:
+        raise ModelLoadError("label_set must be a non-empty list")
+    for name in raw:
+        if not isinstance(name, str) or name not in PunctClass.__members__:
+            raise ModelLoadError(f"label_set names an unknown label {name!r}")
+    if len(set(raw)) != len(raw):
+        raise ModelLoadError("label_set repeats a label")
+    return tuple(raw)
+
+
+def _checked_weight(feature: str, raw: object) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ModelLoadError(f"weight for {feature!r} is not finite: {raw!r}")
+    return value
 
 
 @dataclass
@@ -149,25 +279,11 @@ class TaggerModel:
         """Greedy left-to-right decode; ties go to the earliest label."""
         if not tokens:
             raise ValueError("cannot predict on an empty token list")
-        nlabels = len(self.label_set)
-        lowered = [t.lower() for t in tokens]
-        prev = _BOS_LABEL
-        out = []
-        for i in range(len(tokens)):
-            feats = _feature_list(tokens, i, prev, lowered)
-            scores = [0.0] * nlabels
-            for f in feats:
-                row = self.weights.get(f)
-                if row:
-                    for li, w in row.items():
-                        scores[li] += w
-            best = 0
-            for li in range(1, nlabels):
-                if scores[li] > scores[best]:
-                    best = li
-            prev = self.label_set[best]
-            out.append(PunctClass[prev])
-        return out
+        static = _static_features(tokens, {})
+        return [
+            PunctClass[self.label_set[li]]
+            for li in _decode(self.weights, static, self.label_set)
+        ]
 
     def to_json_dict(self) -> dict:
         return {
@@ -184,7 +300,7 @@ class TaggerModel:
     def save(self, path: str | Path) -> None:
         try:
             with open(path, "w", encoding="utf-8") as fh:
-                json.dump(self.to_json_dict(), fh, ensure_ascii=False, sort_keys=True)
+                fh.write(json.dumps(self.to_json_dict(), ensure_ascii=False, sort_keys=True))
                 fh.write("\n")
         except OSError as exc:
             raise IoFailure(f"cannot write {path}: {exc}") from exc
@@ -199,11 +315,16 @@ class TaggerModel:
                 f"model format {version!r} is not supported (want {MODEL_FORMAT_VERSION})"
             )
         try:
-            label_set = tuple(obj["label_set"])
+            label_set = _checked_label_set(obj["label_set"])
             index = {name: li for li, name in enumerate(label_set)}
+            raw_weights = obj["weights"]
+            if not isinstance(raw_weights, dict):
+                raise ModelLoadError("model weights are not a JSON object")
             weights: dict[str, dict[int, float]] = {}
-            for f, row in obj["weights"].items():
-                weights[f] = {index[name]: float(w) for name, w in row.items()}
+            for f, row in raw_weights.items():
+                if not isinstance(row, dict):
+                    raise ModelLoadError(f"weights for {f!r} are not a JSON object")
+                weights[f] = {index[name]: _checked_weight(f, w) for name, w in row.items()}
             return cls(
                 label_set=label_set,
                 feature_templates=tuple(obj["feature_templates"]),
@@ -242,14 +363,28 @@ class _Averager:
         self._totals: dict[str, dict[int, float]] = {}
         self._stamps: dict[str, dict[int, int]] = {}
 
-    def update(self, feature: str, li: int, delta: float, tick: int) -> None:
-        row = self.weights.setdefault(feature, {})
-        trow = self._totals.setdefault(feature, {})
-        srow = self._stamps.setdefault(feature, {})
-        value = row.get(li, 0.0)
-        trow[li] = trow.get(li, 0.0) + (tick - 1 - srow.get(li, 0)) * value
-        srow[li] = tick - 1
-        row[li] = value + delta
+    def mistake(self, feats: Sequence[str], gold: int, guess: int, tick: int) -> None:
+        """+1 for gold and -1 for guess on every feature, at utterance tick."""
+        held = tick - 1
+        weights, totals, stamps = self.weights, self._totals, self._stamps
+        for f in feats:
+            row = weights.get(f)
+            if row is None:
+                row = weights[f] = {}
+            trow = totals.get(f)
+            if trow is None:
+                trow = totals[f] = {}
+                srow = stamps[f] = {}
+            else:
+                srow = stamps[f]
+            value = row.get(gold, 0.0)
+            trow[gold] = trow.get(gold, 0.0) + (held - srow.get(gold, 0)) * value
+            srow[gold] = held
+            row[gold] = value + 1.0
+            value = row.get(guess, 0.0)
+            trow[guess] = trow.get(guess, 0.0) + (held - srow.get(guess, 0)) * value
+            srow[guess] = held
+            row[guess] = value - 1.0
 
     def averaged(self, ticks: int) -> dict[str, dict[int, float]]:
         out: dict[str, dict[int, float]] = {}
@@ -279,11 +414,10 @@ def _run_phase(
 ) -> dict[str, dict[int, float]]:
     """One training phase; returns averaged weights."""
     index = {name: li for li, name in enumerate(label_set)}
-    nlabels = len(label_set)
     avg = _Averager(_copy_weights(initial))
-    weights = avg.weights
     rng = random.Random(config.seed)
     order = list(range(len(corpus)))
+    cache: dict[str, _TokenFeatures] = {}
     tick = 0
     for _ in range(config.epochs):
         if config.shuffle:
@@ -291,27 +425,13 @@ def _run_phase(
         for ci in order:
             u = corpus[ci]
             tick += 1
-            lowered = [t.lower() for t in u.tokens]
-            prev = _BOS_LABEL
-            for i in range(len(u.tokens)):
-                feats = _feature_list(u.tokens, i, prev, lowered)
-                scores = [0.0] * nlabels
-                for f in feats:
-                    row = weights.get(f)
-                    if row:
-                        for li, w in row.items():
-                            scores[li] += w
-                guess = 0
-                for li in range(1, nlabels):
-                    if scores[li] > scores[guess]:
-                        guess = li
-                gold = index[u.labels[i].name]
-                if guess != gold:
-                    for f in feats:
-                        avg.update(f, gold, 1.0, tick)
-                        avg.update(f, guess, -1.0, tick)
-                # The decoder sees its own mistakes at train time too.
-                prev = label_set[guess]
+            _decode(
+                avg.weights,
+                _static_features(u.tokens, cache),
+                label_set,
+                gold=[index[lab.name] for lab in u.labels],
+                on_mistake=partial(avg.mistake, tick=tick),
+            )
     return avg.averaged(tick)
 
 
@@ -372,11 +492,6 @@ def continue_train(
     )
 
 
-def predict(model, tokens: Sequence[str]) -> list[PunctClass]:
-    """Labels for a token list; works with any object that has .predict."""
-    return model.predict(tokens)
-
-
 class TaggerBackend(Protocol):
     """What run_strategy needs from a trainable tagger implementation."""
 
@@ -390,10 +505,23 @@ class TaggerBackend(Protocol):
 
 
 class PerceptronBackend:
-    """The built-in averaged perceptron as a strategy backend."""
+    """The built-in averaged perceptron as a strategy backend.
+
+    Fresh training phases are memoized by (utterance content, config,
+    data tag), so strategies that share a first phase train it once.
+    Models are never mutated after training (continue_train copies), so
+    one instance can be handed to several callers.
+    """
+
+    def __init__(self):
+        self._trained: dict[tuple, TaggerModel] = {}
 
     def train(self, corpus, config, data_tag):
-        return train(corpus, config, data_tag)
+        key = (tuple((u.tokens, u.labels) for u in corpus), config, data_tag)
+        model = self._trained.get(key)
+        if model is None:
+            model = self._trained[key] = train(corpus, config, data_tag)
+        return model
 
     def continue_train(self, model, corpus, config, data_tag):
         return continue_train(model, corpus, config, data_tag)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from espunct import tagger
 from espunct.corpus import LabeledUtterance, PunctClass
 
 _SHORT = {
@@ -35,6 +36,31 @@ def labels(spec: str) -> tuple[PunctClass, ...]:
 def lu(tokens: str, spec: str, **kwargs) -> LabeledUtterance:
     """Build a LabeledUtterance from space-separated tokens and shorthand."""
     return LabeledUtterance(tuple(tokens.split()), labels(spec), **kwargs)
+
+
+# Changes that each make a saved model file unusable, by name.
+BAD_MODEL_CHANGES = {
+    "weights-not-object": {"weights": [["w0=hola", 1.0]]},
+    "row-not-object": {"weights": {"w0=hola": [1.0]}},
+    "nan-weight": {"weights": {"w0=hola": {"NONE": float("nan")}}},
+    "infinite-weight": {"weights": {"w0=hola": {"COMMA": float("-inf")}}},
+    "empty-label-set": {"label_set": []},
+    "repeated-label": {"label_set": ["NONE", "PERIOD", "NONE"]},
+    "unknown-label": {"label_set": ["NONE", "SEMICOLON"]},
+}
+
+
+def count_trains(monkeypatch) -> list[str]:
+    """Spy on tagger.train; returns the list of data tags it trained."""
+    calls: list[str] = []
+    real = tagger.train
+
+    def spy(corpus, config, data_tag):
+        calls.append(data_tag)
+        return real(corpus, config, data_tag)
+
+    monkeypatch.setattr(tagger, "train", spy)
+    return calls
 
 
 BOS = "<s>"

@@ -9,8 +9,9 @@ import pytest
 from espunct.cli import main
 from espunct.corpus import read_jsonl, render, write_jsonl
 from espunct.synthetic import rule_corpus
+from espunct.tagger import TaggerModel
 
-from helpers import labels, lu
+from helpers import BAD_MODEL_CHANGES, labels, lu
 
 
 @pytest.fixture()
@@ -189,6 +190,15 @@ def test_experiment_prints_rows(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "es_only: micro-F1" in out
     assert "comparison.md" in out
+
+
+def test_serve_rejects_unusable_model(tmp_path):
+    good = TaggerModel().to_json_dict()
+    TaggerModel.from_json_dict(good)
+    for name, change in BAD_MODEL_CHANGES.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({**good, **change}), encoding="utf-8")
+        assert main(["serve", "--model", str(path)]) == 2, name
 
 
 def test_exit_codes(tmp_path, trained, monkeypatch):

@@ -3,7 +3,12 @@
 import pytest
 
 from espunct.corpus import CLASS_ORDER, PunctClass
-from espunct.errors import BadFractions, EmptyTestSet, UnknownClass
+from espunct.errors import (
+    BadFractions,
+    EmptyTestSet,
+    PredictionLengthMismatch,
+    UnknownClass,
+)
 from espunct.evaluate import (
     confusion_slice,
     evaluate,
@@ -188,6 +193,24 @@ def test_zero_support_classes_left_out_of_macro():
 def test_empty_test_set():
     with pytest.raises(EmptyTestSet):
         evaluate(_FixedModel({}), [])
+
+
+class _WrongLengthModel:
+    """Drops or adds labels relative to the tokens it is given."""
+
+    def __init__(self, extra):
+        self.extra = extra
+
+    def predict(self, tokens):
+        return [PunctClass.NONE] * max(len(tokens) + self.extra, 0)
+
+
+@pytest.mark.parametrize("extra", [-1, 1, -100])
+def test_prediction_length_mismatch_is_an_error(extra):
+    test = [lu("hola buenos días", "N N P")]
+    for repair in (True, False):
+        with pytest.raises(PredictionLengthMismatch):
+            evaluate(_WrongLengthModel(extra), test, apply_repair=repair)
 
 
 def test_unknown_class_in_slice():

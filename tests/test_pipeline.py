@@ -24,7 +24,6 @@ from espunct.errors import (
 )
 from espunct.pipeline import (
     _check_leakage,
-    _content_hash,
     config_from_dict,
     handle_request_line,
     load_config,
@@ -37,7 +36,7 @@ from espunct.pipeline import (
 from espunct.synthetic import rule_corpus
 from espunct.tagger import TrainConfig, train
 
-from helpers import labels, lu
+from helpers import count_trains, labels, lu
 
 
 def _unique(corpus, n):
@@ -335,6 +334,33 @@ def test_run_experiment_is_byte_deterministic(data_dir, tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
+def test_run_experiment_trains_shared_es_phase_once(data_dir, tmp_path, monkeypatch):
+    calls = count_trains(monkeypatch)
+    out = tmp_path / "memo"
+    obj = base_config(data_dir, out)
+    obj["strategies"] = [
+        {"strategy": "ES_ONLY", "spanish_sources": ["indomain"]},
+        {"strategy": "ES_THEN_EN", "spanish_sources": ["indomain"]},
+    ]
+    run_experiment(config_from_dict(obj, data_dir))
+    assert calls == ["es"]
+
+    es_size = len(read_jsonl(out / "train_es_es_only.jsonl"))
+    en_size = len(read_jsonl(out / "en_converted.jsonl"))
+    es_entry = {"data": "es", "epochs": 2, "seed": 0, "size": es_size}
+    logs = {
+        name: json.loads((out / f"model_{name}.json").read_text(encoding="utf-8"))[
+            "training_log"
+        ]
+        for name in ("es_only", "es_then_en")
+    }
+    assert logs["es_only"] == [es_entry]
+    assert logs["es_then_en"] == [
+        es_entry,
+        {"data": "en", "epochs": 2, "seed": 0, "size": en_size},
+    ]
+
+
 def test_run_experiment_dedups_duplicate_indomain(data_dir, tmp_path):
     corpus = rule_corpus(30, seed=9)
     doubled = corpus + corpus[:10]
@@ -381,12 +407,12 @@ def test_run_experiment_split_failure_names_stage(tmp_path):
 
 def test_leakage_check_fires_on_shared_content():
     test_set = [lu("hola buenos días", "N N P")]
-    hashes = {_content_hash(u) for u in test_set}
+    keys = {(u.tokens, u.labels) for u in test_set}
     clean = [lu("adiós buenas tardes", "N N P")]
-    _check_leakage(clean, hashes, "row")
+    _check_leakage(clean, keys, "row")
     dirty = clean + [lu("hola buenos días", "N N P")]
     with pytest.raises(DataLeakageError):
-        _check_leakage(dirty, hashes, "row")
+        _check_leakage(dirty, keys, "row")
 
 
 # ----------------------------------------------------------------- serving

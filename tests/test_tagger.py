@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from espunct.corpus import PunctClass
+from espunct.corpus import LabeledUtterance, PunctClass
 from espunct.errors import (
     EmptyCorpus,
     IoFailure,
@@ -14,13 +14,16 @@ from espunct.errors import (
     ModelLoadError,
     TargetTooSmall,
 )
-from espunct.synthetic import random_labeled_utterance, rule_corpus
+from espunct.synthetic import random_labeled_utterance, rule_corpus, transfer_benchmark
 from espunct.tagger import (
     DEFAULT_LABEL_SET,
     FEATURE_TEMPLATES,
+    PerceptronBackend,
     Strategy,
     TaggerModel,
     TrainConfig,
+    _feature_list,
+    _static_features,
     continue_train,
     featurize,
     oversample,
@@ -28,7 +31,7 @@ from espunct.tagger import (
     train,
 )
 
-from helpers import labels, lu
+from helpers import BAD_MODEL_CHANGES, count_trains, labels, lu
 
 
 # ---------------------------------------------------------------- features
@@ -96,6 +99,70 @@ def test_template_inventory():
     assert "prev" in FEATURE_TEMPLATES
 
 
+def _template_cases():
+    """Token lists that reach every template branch, first and last
+    positions included."""
+    rule = rule_corpus(200, seed=3)
+    mixed = next(
+        u.tokens for u in rule
+        if any(t[0].isupper() for t in u.tokens)
+        and any(ch.isdigit() for t in u.tokens for ch in t)
+    )
+    en = transfer_benchmark(
+        4, es_train_size=1, es_test_size=1, ldc_size=1, pool_good=1,
+        pool_alien=1, en_size=50,
+    ).en
+    short = next(u.tokens for u in en if any(len(t) == 2 for t in u.tokens))
+    return [mixed, short, ("y", "OK", "3,5", "a"), ("Ok",)]
+
+
+def test_static_features_match_template_definition():
+    cases = _template_cases()
+    assert any(len(t) == 1 for case in cases for t in case)
+    cache = {}
+    for tokens in cases:
+        lowered = [t.lower() for t in tokens]
+        static = _static_features(tokens, cache)
+        assert len(static) == len(tokens)
+        for i, (head, tail) in enumerate(static):
+            for prev in ("<start>",) + DEFAULT_LABEL_SET:
+                assert head + ("prev=" + prev,) + tail == tuple(
+                    _feature_list(tokens, i, prev, lowered)
+                ), (tokens, i, prev)
+
+
+def _reference_predict(model, tokens):
+    """The greedy decoder written directly against _feature_list."""
+    lowered = [t.lower() for t in tokens]
+    prev = "<start>"
+    out = []
+    for i in range(len(tokens)):
+        scores = [0.0] * len(model.label_set)
+        for f in _feature_list(tokens, i, prev, lowered):
+            for li, w in model.weights.get(f, {}).items():
+                scores[li] += w
+        best = 0
+        for li in range(1, len(scores)):
+            if scores[li] > scores[best]:
+                best = li
+        prev = model.label_set[best]
+        out.append(PunctClass[prev])
+    return out
+
+
+def test_predict_matches_reference_decoder():
+    bench = transfer_benchmark(
+        2, es_train_size=80, es_test_size=60, ldc_size=1, pool_good=1,
+        pool_alien=1, en_size=60,
+    )
+    model = train(bench.es_train + bench.en, TrainConfig(epochs=2, seed=0))
+    grown = continue_train(model, bench.es_train, TrainConfig(epochs=1, seed=1))
+    for m in (model, grown):
+        for u in bench.es_test + bench.en:
+            assert m.predict(u.tokens) == _reference_predict(m, u.tokens)
+
+
+# ---------------------------------------------------------------- decoding
 # ---------------------------------------------------------------- decoding
 
 
@@ -308,6 +375,23 @@ def test_load_rejects_unknown_label_in_weights(tmp_path):
         TaggerModel.load(path)
 
 
+@pytest.mark.parametrize("case", sorted(BAD_MODEL_CHANGES))
+def test_load_rejects_unusable_model(tmp_path, case):
+    path = tmp_path / f"{case}.json"
+    obj = {**TaggerModel().to_json_dict(), **BAD_MODEL_CHANGES[case]}
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    with pytest.raises(ModelLoadError):
+        TaggerModel.load(path)
+
+
+def test_load_accepts_a_label_subset():
+    obj = TaggerModel(label_set=("NONE", "PERIOD")).to_json_dict()
+    obj["weights"] = {"last": {"PERIOD": 2.5}}
+    model = TaggerModel.from_json_dict(obj)
+    assert model.predict(["a", "b"]) == [PunctClass.NONE, PunctClass.PERIOD]
+
+
+# -------------------------------------------------------- continue_train
 # -------------------------------------------------------- continue_train
 
 
@@ -417,6 +501,50 @@ def test_joint_mixes_and_shuffles_with_config_seed():
     random.Random(config.seed).shuffle(mixed)
     direct = train(mixed, config, data_tag="joint-es-en")
     assert model.weights == direct.weights
+
+
+def test_backend_memoizes_fresh_phases(monkeypatch):
+    calls = count_trains(monkeypatch)
+    corpus = rule_corpus(30, seed=0)
+    config = TrainConfig(epochs=2, seed=0)
+    backend = PerceptronBackend()
+    first = backend.train(corpus, config, "es")
+    # equal tokens and labels in new objects are the same phase;
+    # provenance tags do not reach training
+    copies = [LabeledUtterance(u.tokens, u.labels, source="copy") for u in corpus]
+    assert backend.train(copies, config, "es") is first
+    assert backend.train(corpus, TrainConfig(epochs=2, seed=1), "es") is not first
+    assert backend.train(corpus, config, "en") is not first
+    assert backend.train(corpus[:-1], config, "es") is not first
+    assert calls == ["es", "es", "en", "es"]
+
+
+def test_es_then_en_reuses_es_only_phase(monkeypatch):
+    calls = count_trains(monkeypatch)
+    es = rule_corpus(40, seed=0)
+    en = rule_corpus(20, seed=1)
+    config = TrainConfig(epochs=2, seed=0)
+    backend = PerceptronBackend()
+    es_only = run_strategy(Strategy.ES_ONLY, es, None, config, backend)
+    before = json.dumps(es_only.to_json_dict(), sort_keys=True)
+    two_phase = run_strategy(Strategy.ES_THEN_EN, es, en, config, backend)
+    assert calls == ["es"]
+    assert json.dumps(es_only.to_json_dict(), sort_keys=True) == before
+    assert two_phase.training_log == es_only.training_log + [
+        {"data": "en", "epochs": 2, "seed": 0, "size": 20}
+    ]
+    fresh = continue_train(train(es, config, "es"), en, config, "en")
+    assert two_phase.weights == fresh.weights
+
+
+def test_run_strategy_without_backend_trains_fresh(monkeypatch):
+    calls = count_trains(monkeypatch)
+    es = rule_corpus(10, seed=0)
+    config = TrainConfig(epochs=1, seed=0)
+    a = run_strategy(Strategy.ES_ONLY, es, None, config)
+    b = run_strategy(Strategy.ES_ONLY, es, None, config)
+    assert calls == ["es", "es"]
+    assert a is not b
 
 
 def test_strategy_data_requirements():
