@@ -4,15 +4,16 @@ Corpus-shaping subcommands move JSONL files around; `experiment` runs
 the full grid from one config file, `serve` answers newline-delimited
 JSON requests over stdio or TCP, and `predict` punctuates a single
 line.  Files ending in .jsonl are corpus records; any other input file
-is read as plain text, one utterance per line.
+is read as plain text, one utterance per line.  Records are shaped by
+corpus.as_labeled and corpus.as_text, as in the pipeline.
 
-Exit codes: 0 success, 2 bad arguments or configuration, 3 data errors.
+Exit codes: 0 success, 2 bad arguments (out-of-range numbers included)
+or configuration, 3 data errors.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -20,13 +21,13 @@ from typing import Sequence
 
 from .augment import augment_to_distribution, histogram, write_histogram_report
 from .corpus import (
-    LabeledUtterance,
     RawUtterance,
     Utterance,
-    extract_labels,
+    as_labeled,
+    as_text,
+    extract_labels,  # noqa: F401  unused here, but bench/ wraps it by this name
     normalize_punctuation,
     read_jsonl,
-    render,
     write_jsonl,
 )
 from .crosslingual import anglicize_to_spanish_conventions
@@ -38,9 +39,10 @@ from .errors import (
     PipelineError,
     PunctError,
 )
-from .evaluate import evaluate
+from .evaluate import evaluate, write_report_json
 from .pipeline import (
     load_config,
+    parse_strategy,
     restore,
     run_experiment,
     serve_stdio,
@@ -52,13 +54,14 @@ from .selection import (
     train_ngram,
     write_selection_report,
 )
-from .tagger import Strategy, TaggerModel, TrainConfig, run_strategy
+from .tagger import TaggerModel, TrainConfig, run_strategy
 
 
-def _seed_override() -> int | None:
+def _seed_override(default: int | None = None) -> int | None:
+    """PUNCT_SEED as an integer, or default when it is unset."""
     raw = os.environ.get("PUNCT_SEED")
     if raw is None:
-        return None
+        return default
     try:
         return int(raw)
     except ValueError:
@@ -76,28 +79,16 @@ def _read_corpus(path: str) -> list[Utterance]:
     return [RawUtterance(line) for line in lines if line.strip()]
 
 
-def _labeled(records: Sequence[Utterance]) -> list[LabeledUtterance]:
-    out = []
-    for rec in records:
-        if isinstance(rec, RawUtterance):
-            out.append(
-                extract_labels(
-                    normalize_punctuation(rec.text), source=rec.source, lang=rec.lang
-                )
-            )
-        else:
-            out.append(rec)
-    return out
+def _at_least(low: int):
+    """argparse type for an integer no smaller than low."""
 
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
 
-def _texts(records: Sequence[Utterance]) -> list[RawUtterance]:
-    out = []
-    for rec in records:
-        if isinstance(rec, RawUtterance):
-            out.append(rec)
-        else:
-            out.append(RawUtterance(render(rec), source=rec.source, lang=rec.lang))
-    return out
+    return integer
 
 
 def _cmd_normalize(args) -> int:
@@ -116,32 +107,28 @@ def _cmd_normalize(args) -> int:
 
 
 def _cmd_extract(args) -> int:
-    write_jsonl(_labeled(_read_corpus(args.infile)), args.out)
+    write_jsonl(as_labeled(_read_corpus(args.infile)), args.out)
     return 0
 
 
 def _cmd_select(args) -> int:
-    model_corpus = _texts(_read_corpus(args.model_corpus))
-    pool_records = _read_corpus(args.pool)
-    pool = _texts(pool_records)
+    model_corpus = as_text(_read_corpus(args.model_corpus))
+    pool = _read_corpus(args.pool)
     model = train_ngram(model_corpus, order=args.order)
-    scores = score_pool(model, pool)
+    scores = score_pool(model, as_text(pool))
     if args.report:
         write_selection_report(scores, args.report)
-    kept = select_lowest_perplexity(model, pool, args.k, scores=scores)
-    # Map the selected scoring rows back to the original records so the
-    # output keeps the input's shape (raw stays raw, labeled labeled).
-    index_of = {id(r): i for i, r in enumerate(pool)}
-    write_jsonl([pool_records[index_of[id(r)]] for r in kept], args.out)
+    # Scores are parallel to pool, so the kept records keep the input's
+    # shape: raw stays raw, labeled stays labeled.
+    write_jsonl(select_lowest_perplexity(model, pool, args.k, scores=scores), args.out)
     return 0
 
 
 def _cmd_augment(args) -> int:
-    source = _labeled(_read_corpus(args.source))
-    target = histogram(_labeled(_read_corpus(args.target_corpus)))
-    seed = _seed_override()
+    source = as_labeled(_read_corpus(args.source))
+    target = histogram(as_labeled(_read_corpus(args.target_corpus)))
     grown = augment_to_distribution(
-        source, target, seed if seed is not None else args.seed, args.max_tokens
+        source, target, _seed_override(args.seed), args.max_tokens
     )
     write_jsonl(grown, args.out)
     if args.report:
@@ -151,31 +138,22 @@ def _cmd_augment(args) -> int:
 
 def _cmd_convert(args) -> int:
     converted = [
-        anglicize_to_spanish_conventions(u) for u in _labeled(_read_corpus(args.infile))
+        anglicize_to_spanish_conventions(u)
+        for u in as_labeled(_read_corpus(args.infile))
     ]
     write_jsonl(converted, args.out)
     return 0
 
 
-def _parse_strategy(name: str) -> Strategy:
-    try:
-        return Strategy(name.upper())
-    except ValueError:
-        raise ConfigError(
-            f"unknown strategy {name!r}; choose from {[s.value for s in Strategy]}"
-        ) from None
-
-
 def _cmd_train(args) -> int:
-    es = _labeled(_read_corpus(args.es))
-    en = _labeled(_read_corpus(args.en)) if args.en else None
-    seed = _seed_override()
+    es = as_labeled(_read_corpus(args.es))
+    en = as_labeled(_read_corpus(args.en)) if args.en else None
     config = TrainConfig(
         epochs=args.epochs,
-        seed=seed if seed is not None else args.seed,
+        seed=_seed_override(args.seed),
         shuffle=not args.no_shuffle,
     )
-    model = run_strategy(_parse_strategy(args.strategy), es, en, config)
+    model = run_strategy(parse_strategy(args.strategy), es, en, config)
     model.save(args.out)
     print(f"trained {args.strategy} on {len(es)} es utterances -> {args.out}")
     return 0
@@ -183,18 +161,12 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     model = TaggerModel.load(args.model)
-    test = _labeled(_read_corpus(args.test))
+    test = as_labeled(_read_corpus(args.test))
     report = evaluate(
         model, test, apply_repair=args.repair, dataset_tag=Path(args.test).stem
     )
     if args.out:
-        Path(args.out).write_text(
-            json.dumps(
-                report.to_json_dict(), ensure_ascii=False, sort_keys=True, indent=2
-            )
-            + "\n",
-            encoding="utf-8",
-        )
+        write_report_json(report, args.out)
     print(report.format_table())
     return 0
 
@@ -254,8 +226,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("select", help="keep the k lowest-perplexity pool utterances")
     p.add_argument("--model-corpus", required=True)
     p.add_argument("--pool", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--order", type=int, default=4)
+    p.add_argument("--k", type=_at_least(0), required=True)
+    p.add_argument("--order", type=_at_least(1), default=4)
     p.add_argument("--out", required=True)
     p.add_argument("--report", help="write per-utterance perplexities as TSV")
     p.set_defaults(func=_cmd_select)
@@ -264,7 +236,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source", required=True)
     p.add_argument("--target-corpus", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-tokens", type=int, default=200)
+    p.add_argument("--max-tokens", type=_at_least(1), default=200)
     p.add_argument("--out", required=True)
     p.add_argument("--report", help="write before/after histogram masses as TSV")
     p.set_defaults(func=_cmd_augment)
@@ -278,7 +250,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", required=True)
     p.add_argument("--es", required=True)
     p.add_argument("--en", help="converted English data, for the bilingual strategies")
-    p.add_argument("--epochs", type=int, default=5)
+    p.add_argument("--epochs", type=_at_least(1), default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--no-shuffle", action="store_true")
     p.add_argument("--out", required=True)

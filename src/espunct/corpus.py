@@ -3,7 +3,9 @@
 Utterances live in two forms: raw punctuated text, and a parallel
 (tokens, labels) pair where each label says which punctuation attaches
 to that token.  This module owns the label inventory, the punctuation
-normalizer, the reversible text<->labels mapping, and JSONL round-trip IO.
+normalizer, the reversible text<->labels mapping, JSONL round-trip IO,
+and the record conversions the CLI and the pipeline share (as_labeled,
+as_text).
 """
 
 from __future__ import annotations
@@ -123,7 +125,7 @@ _TRAILING_CHARS = "?!,."
 # removes or rewrites, plus parentheses and dashes, which are only
 # tolerated inside a token.  The plain hyphen stays legal at boundaries
 # so disfluencies like "que-" keep their token text.
-_REJECTED_BOUNDARY = set(
+REJECTED_BOUNDARY = set(
     "\"'\u00ab\u00bb\u201c\u201d\u2018\u2019:;\u2026()\u2014\u2013"
 )
 
@@ -180,7 +182,7 @@ class LabeledUtterance:
             if not tok or any(ch.isspace() for ch in tok):
                 raise ValueError(f"bad token {tok!r}")
             for ch in (tok[0], tok[-1]):
-                if ch in SUPPORTED_MARKS or ch in _REJECTED_BOUNDARY:
+                if ch in SUPPORTED_MARKS or ch in REJECTED_BOUNDARY:
                     raise ValueError(
                         f"token {tok!r} has a boundary punctuation mark"
                     )
@@ -265,7 +267,7 @@ def extract_labels(
                 f"token {word!r} has no word to attach punctuation to"
             )
         for ch in (core[0], core[-1]):
-            if ch in _REJECTED_BOUNDARY:
+            if ch in REJECTED_BOUNDARY:
                 raise UnsupportedPunctuation(
                     f"token {word!r} keeps unnormalized punctuation {ch!r}"
                 )
@@ -302,6 +304,35 @@ def render(u: LabeledUtterance, capitalize: bool = False) -> str:
             _LEADING_MARK.get(label, "") + token + _TRAILING_MARK.get(label, "")
         )
     return " ".join(parts)
+
+
+def as_labeled(
+    records: Sequence[Utterance], default_source: str | None = None
+) -> list[LabeledUtterance]:
+    """Raw records normalized and parsed, a missing source set to
+    default_source; labeled records pass through.  Raw text that
+    normalizes to nothing is a MalformedRecord at its 1-based position."""
+    out = []
+    for position, rec in enumerate(records, start=1):
+        if isinstance(rec, LabeledUtterance):
+            out.append(rec)
+            continue
+        text = normalize_punctuation(rec.text)
+        if not text.strip():
+            raise MalformedRecord(position, "text has no tokens after normalization")
+        source = rec.source if rec.source is not None else default_source
+        out.append(extract_labels(text, source=source, lang=rec.lang))
+    return out
+
+
+def as_text(records: Sequence[Utterance]) -> list[RawUtterance]:
+    """Labeled records rendered with their provenance; raw pass through."""
+    return [
+        rec
+        if isinstance(rec, RawUtterance)
+        else RawUtterance(render(rec), source=rec.source, lang=rec.lang)
+        for rec in records
+    ]
 
 
 # --- JSONL IO --------------------------------------------------------------

@@ -19,8 +19,6 @@ from .corpus import (
 )
 from .errors import AlreadySpanishConvention
 
-__all__ = ["anglicize_to_spanish_conventions", "chunk_start"]
-
 
 def anglicize_to_spanish_conventions(u: LabeledUtterance) -> LabeledUtterance:
     """Rewrite close-only labels into open/close pairs.

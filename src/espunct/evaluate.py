@@ -7,14 +7,17 @@ drown the signal.
 
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Sequence
 
 from .corpus import CLASS_ORDER, LabeledUtterance, PunctClass
 from .errors import (
     BadFractions,
     EmptyTestSet,
+    IoFailure,
     PredictionLengthMismatch,
     UnknownClass,
 )
@@ -116,6 +119,17 @@ class EvalReport:
         lines.append(f"micro-F1 (punctuation): {self.micro_f1_non_none:.4f}")
         lines.append(f"macro-F1 (punctuation): {self.macro_f1_non_none:.4f}")
         return "\n".join(lines)
+
+
+def write_report_json(report: EvalReport, path: str | Path) -> None:
+    """The report as sorted, indented UTF-8 JSON with a final newline."""
+    text = json.dumps(
+        report.to_json_dict(), ensure_ascii=False, sort_keys=True, indent=2
+    )
+    try:
+        Path(path).write_text(text + "\n", encoding="utf-8")
+    except OSError as exc:
+        raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
 def _f1(precision: float, recall: float) -> float:

@@ -5,6 +5,7 @@ perplexity selection over the subtitle pool, histogram augmentation,
 English conversion, then one trained model and one evaluation report per
 configured row, plus a comparison table.  Every intermediate corpus is
 written to disk; rerunning the same config reproduces every byte.
+The CLI shares its record shaping (corpus.as_labeled, as_text) and parse_strategy.
 
 The serving half wraps a saved model behind newline-delimited JSON over
 stdin/stdout or a TCP socket.
@@ -25,12 +26,13 @@ from .augment import (
     write_histogram_report,
 )
 from .corpus import (
+    REJECTED_BOUNDARY,
     SUPPORTED_MARKS,
     LabeledUtterance,
     PunctClass,
-    RawUtterance,
-    _REJECTED_BOUNDARY,
-    extract_labels,
+    as_labeled,
+    as_text,
+    extract_labels,  # noqa: F401  unused here, but bench/ wraps it by this name
     normalize_punctuation,
     read_jsonl,
     render,
@@ -44,7 +46,7 @@ from .errors import (
     PipelineError,
     PunctError,
 )
-from .evaluate import EvalReport, evaluate, split_corpus
+from .evaluate import EvalReport, evaluate, split_corpus, write_report_json
 from .postprocess import RepairPolicy, repair_pairing
 from .selection import (
     score_pool,
@@ -129,6 +131,16 @@ def _dataset_path(datasets: dict, key: str, base_dir: Path, required: bool) -> P
     return path
 
 
+def parse_strategy(name: str) -> Strategy:
+    """The Strategy a case-insensitive name denotes; ConfigError otherwise."""
+    try:
+        return Strategy(name.upper())
+    except ValueError:
+        raise ConfigError(
+            f"unknown strategy {name!r}; choose from {[s.value for s in Strategy]}"
+        ) from None
+
+
 def _parse_row(
     entry: object, available: tuple[str, ...]
 ) -> ExperimentRow:
@@ -139,13 +151,7 @@ def _parse_row(
     _require(not unknown, f"unknown strategy entry keys: {sorted(unknown)}")
     raw_strategy = entry.get("strategy")
     _require(isinstance(raw_strategy, str), "strategy entry needs a strategy name")
-    try:
-        strategy = Strategy(raw_strategy.upper())
-    except ValueError:
-        raise ConfigError(
-            f"unknown strategy {raw_strategy!r}; choose from "
-            f"{[s.value for s in Strategy]}"
-        ) from None
+    strategy = parse_strategy(raw_strategy)
     name = entry.get("name", strategy.value.lower())
     _require(isinstance(name, str) and name != "", "row name must be a non-empty string")
     _require(
@@ -326,21 +332,9 @@ def load_config(path: str | Path, seed_override: int | None = None) -> Experimen
 # --- experiment runner -----------------------------------------------------
 
 
-def _as_labeled(records: Sequence, origin: str) -> list[LabeledUtterance]:
-    """Raw records are normalized and parsed; labeled pass through."""
-    out = []
-    for rec in records:
-        if isinstance(rec, RawUtterance):
-            out.append(
-                extract_labels(
-                    normalize_punctuation(rec.text),
-                    source=rec.source if rec.source is not None else origin,
-                    lang=rec.lang,
-                )
-            )
-        else:
-            out.append(rec)
-    return out
+def _load(path: Path | None, origin: str) -> list[LabeledUtterance] | None:
+    """A configured dataset as labeled records; None when not configured."""
+    return as_labeled(read_jsonl(path), origin) if path else None
 
 
 def _dedup(corpus: Sequence[LabeledUtterance]) -> list[LabeledUtterance]:
@@ -381,18 +375,10 @@ def run_experiment(config: ExperimentConfig) -> list[EvalReport]:
         out_dir.mkdir(parents=True, exist_ok=True)
 
         stage = "load"
-        es_all = _dedup(_as_labeled(read_jsonl(config.es_indomain), "indomain"))
-        ldc = _as_labeled(read_jsonl(config.ldc), "ldc") if config.ldc else None
-        en_raw = (
-            _as_labeled(read_jsonl(config.en_indomain), "en")
-            if config.en_indomain
-            else None
-        )
-        pool = (
-            _as_labeled(read_jsonl(config.opensubtitle_pool), "opensubtitle")
-            if config.opensubtitle_pool
-            else None
-        )
+        es_all = _dedup(_load(config.es_indomain, "indomain"))
+        ldc = _load(config.ldc, "ldc")
+        en_raw = _load(config.en_indomain, "en")
+        pool = _load(config.opensubtitle_pool, "opensubtitle")
 
         stage = "split"
         es_train, es_dev, es_test = split_corpus(
@@ -406,20 +392,7 @@ def run_experiment(config: ExperimentConfig) -> list[EvalReport]:
         selected = None
         if pool is not None:
             stage = "select"
-            lm_corpus = [RawUtterance(render(u)) for u in es_train]
-            lm = train_ngram(lm_corpus, order=config.lm_order)
-            pool_raw = [
-                RawUtterance(render(u), source=u.source, lang=u.lang) for u in pool
-            ]
-            scores = score_pool(lm, pool_raw)
-            write_selection_report(scores, out_dir / "selection_scores.tsv")
-            kept = select_lowest_perplexity(
-                lm, pool_raw, min(config.selection_k, len(pool_raw)), scores=scores
-            )
-            selected = [
-                extract_labels(r.text, source=r.source, lang=r.lang) for r in kept
-            ]
-            write_jsonl(selected, out_dir / "selected_opensubtitle.jsonl")
+            selected = _select(config, es_train, pool, out_dir)
 
         stage = "augment"
         target = histogram(es_train)
@@ -495,16 +468,7 @@ def run_experiment(config: ExperimentConfig) -> list[EvalReport]:
                 dataset_tag=row.name,
             )
             reports.append(report)
-            (out_dir / f"report_{row.name}.json").write_text(
-                json.dumps(
-                    report.to_json_dict(),
-                    ensure_ascii=False,
-                    sort_keys=True,
-                    indent=2,
-                )
-                + "\n",
-                encoding="utf-8",
-            )
+            write_report_json(report, out_dir / f"report_{row.name}.json")
             (out_dir / f"report_{row.name}.txt").write_text(
                 report.format_table() + "\n", encoding="utf-8"
             )
@@ -532,6 +496,23 @@ def run_experiment(config: ExperimentConfig) -> list[EvalReport]:
         raise PipelineError(stage, exc) from exc
 
 
+def _select(
+    config: ExperimentConfig,
+    es_train: Sequence[LabeledUtterance],
+    pool: Sequence[LabeledUtterance],
+    out_dir: Path,
+) -> list[LabeledUtterance]:
+    """Select from pool; the n-gram model and scores die before training."""
+    lm = train_ngram(as_text(es_train), order=config.lm_order)
+    scores = score_pool(lm, as_text(pool))
+    write_selection_report(scores, out_dir / "selection_scores.tsv")
+    selected = select_lowest_perplexity(
+        lm, pool, min(config.selection_k, len(pool)), scores=scores
+    )
+    write_jsonl(selected, out_dir / "selected_opensubtitle.jsonl")
+    return selected
+
+
 def _write_comparison(rows: Sequence[tuple], out_dir: Path) -> None:
     header = ("row", "strategy", "es_train", "en_train", "micro_f1", "macro_f1")
     with open(out_dir / "comparison.tsv", "w", encoding="utf-8") as fh:
@@ -551,7 +532,7 @@ def _write_comparison(rows: Sequence[tuple], out_dir: Path) -> None:
 
 # --- serving ---------------------------------------------------------------
 
-_BOUNDARY_STRIP = SUPPORTED_MARKS + "".join(sorted(_REJECTED_BOUNDARY))
+_BOUNDARY_STRIP = SUPPORTED_MARKS + "".join(sorted(REJECTED_BOUNDARY))
 
 
 def tokenize_for_restore(text: str) -> list[str]:

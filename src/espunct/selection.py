@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Sequence, TypeVar
 
 from .corpus import RawUtterance, SUPPORTED_MARKS, normalize_punctuation
 from .errors import EmptyCorpus, IoFailure, KTooLarge
@@ -22,6 +22,8 @@ UNK = "<unk>"
 
 # Tokens seen fewer times than this in training map to UNK.
 MIN_TOKEN_COUNT = 2
+
+_Record = TypeVar("_Record")
 
 
 def lm_tokenize(text: str, *, lowercase: bool = True, strip_punctuation: bool = True) -> list[str]:
@@ -165,16 +167,17 @@ def score_pool(model: NGramModel, pool: Sequence[RawUtterance]) -> list[float]:
 
 def select_lowest_perplexity(
     model: NGramModel,
-    pool: Sequence[RawUtterance],
+    pool: Sequence[_Record],
     k: int,
     *,
     scores: list[float] | None = None,
-) -> list[RawUtterance]:
+) -> list[_Record]:
     """The k best-fitting pool utterances, in original pool order.
 
     Ties break toward the smaller pool index, so results are stable and
     selections are monotone: the k-1 selection is a prefix-free subset of
-    the k selection.  Pass scores to reuse a previous score_pool run.
+    the k selection.  Pass scores to reuse a previous score_pool run;
+    pool is then only indexed, so any records parallel to them will do.
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")

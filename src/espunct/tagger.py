@@ -263,17 +263,17 @@ def _checked_weight(feature: str, raw: object) -> float:
 
 @dataclass
 class TaggerModel:
-    """Trained tagger: label inventory, feature templates, sparse weights.
+    """Trained tagger: label inventory and sparse weights.
 
     weights maps feature string -> {label index -> weight}; indices point
-    into label_set.  training_log records each training phase in order.
+    into label_set.  Files always carry FEATURE_TEMPLATES and
+    MODEL_FORMAT_VERSION, and load refuses any others.  training_log
+    records each training phase in order.
     """
 
     label_set: tuple[str, ...] = DEFAULT_LABEL_SET
-    feature_templates: tuple[str, ...] = FEATURE_TEMPLATES
     weights: dict[str, dict[int, float]] = field(default_factory=dict)
     training_log: list[dict] = field(default_factory=list)
-    format_version: int = MODEL_FORMAT_VERSION
 
     def predict(self, tokens: Sequence[str]) -> list[PunctClass]:
         """Greedy left-to-right decode; ties go to the earliest label."""
@@ -287,9 +287,9 @@ class TaggerModel:
 
     def to_json_dict(self) -> dict:
         return {
-            "format_version": self.format_version,
+            "format_version": MODEL_FORMAT_VERSION,
             "label_set": list(self.label_set),
-            "feature_templates": list(self.feature_templates),
+            "feature_templates": list(FEATURE_TEMPLATES),
             "weights": {
                 f: {self.label_set[li]: w for li, w in sorted(row.items())}
                 for f, row in self.weights.items()
@@ -315,6 +315,8 @@ class TaggerModel:
                 f"model format {version!r} is not supported (want {MODEL_FORMAT_VERSION})"
             )
         try:
+            if obj["feature_templates"] != list(FEATURE_TEMPLATES):
+                raise ModelLoadError("model file lists other feature templates")
             label_set = _checked_label_set(obj["label_set"])
             index = {name: li for li, name in enumerate(label_set)}
             raw_weights = obj["weights"]
@@ -327,7 +329,6 @@ class TaggerModel:
                 weights[f] = {index[name]: _checked_weight(f, w) for name, w in row.items()}
             return cls(
                 label_set=label_set,
-                feature_templates=tuple(obj["feature_templates"]),
                 weights=weights,
                 training_log=list(obj["training_log"]),
             )
@@ -445,6 +446,16 @@ def _check_labels(corpus: Sequence[LabeledUtterance], label_set: Sequence[str]) 
                 )
 
 
+def _log_entry(data_tag: str, config: TrainConfig, corpus: Sequence) -> dict:
+    """One training_log record: what a phase trained on, and how."""
+    return {
+        "data": data_tag,
+        "epochs": config.epochs,
+        "seed": config.seed,
+        "size": len(corpus),
+    }
+
+
 def train(
     corpus: Sequence[LabeledUtterance],
     config: TrainConfig = TrainConfig(),
@@ -454,13 +465,7 @@ def train(
     if not corpus:
         raise EmptyCorpus("cannot train on no utterances")
     weights = _run_phase({}, corpus, DEFAULT_LABEL_SET, config)
-    log_entry = {
-        "data": data_tag,
-        "epochs": config.epochs,
-        "seed": config.seed,
-        "size": len(corpus),
-    }
-    return TaggerModel(weights=weights, training_log=[log_entry])
+    return TaggerModel(weights=weights, training_log=[_log_entry(data_tag, config, corpus)])
 
 
 def continue_train(
@@ -478,17 +483,10 @@ def continue_train(
         raise EmptyCorpus("cannot continue training on no utterances")
     _check_labels(corpus, model.label_set)
     weights = _run_phase(model.weights, corpus, model.label_set, config)
-    log_entry = {
-        "data": data_tag,
-        "epochs": config.epochs,
-        "seed": config.seed,
-        "size": len(corpus),
-    }
     return TaggerModel(
         label_set=model.label_set,
-        feature_templates=model.feature_templates,
         weights=weights,
-        training_log=model.training_log + [log_entry],
+        training_log=model.training_log + [_log_entry(data_tag, config, corpus)],
     )
 
 

@@ -47,6 +47,7 @@ BAD_MODEL_CHANGES = {
     "empty-label-set": {"label_set": []},
     "repeated-label": {"label_set": ["NONE", "PERIOD", "NONE"]},
     "unknown-label": {"label_set": ["NONE", "SEMICOLON"]},
+    "other-feature-templates": {"feature_templates": ["w0", "w-1"]},
 }
 
 

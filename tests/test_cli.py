@@ -77,6 +77,25 @@ def test_select_keeps_low_perplexity_and_reports(tmp_path):
     assert len(lines) == 4
 
 
+def test_select_keeps_labeled_pool_records(tmp_path):
+    model_corpus = tmp_path / "model.jsonl"
+    write_jsonl([lu("quiero una cita hoy", "N N N P")] * 8, model_corpus)
+    pool_records = [
+        lu("quiero una cita ya", "N N N P", source="os", lang="es"),
+        lu("zzyx blorp vex glon", "N N N P", source="alien", lang="xx"),
+        lu("quiero una cita hoy", "OQ N N CQ", source="os", lang="es"),
+    ]
+    pool = tmp_path / "pool.jsonl"
+    write_jsonl(pool_records, pool)
+    out = tmp_path / "kept.jsonl"
+    code = main([
+        "select", "--model-corpus", str(model_corpus), "--pool", str(pool),
+        "--k", "2", "--order", "3", "--out", str(out),
+    ])
+    assert code == 0
+    assert read_jsonl(out) == [pool_records[0], pool_records[2]]
+
+
 def test_augment_matches_target_and_reports(tmp_path):
     singles = tmp_path / "singles.jsonl"
     write_jsonl(
@@ -222,3 +241,35 @@ def test_exit_codes(tmp_path, trained, monkeypatch):
     assert main(["extract", "--in", str(broken), "--out", str(tmp_path / "o")]) == 3
     missing = tmp_path / "missing.txt"
     assert main(["extract", "--in", str(missing), "--out", str(tmp_path / "o")]) == 3
+    # a line that normalizes to nothing is a data error too
+    empty = tmp_path / "quotes.txt"
+    empty.write_text("vale.\n\u00ab\u00bb\n", encoding="utf-8")
+    assert main(["extract", "--in", str(empty), "--out", str(tmp_path / "o")]) == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["select", "--model-corpus", "m.txt", "--pool", "p.txt", "--k", "-1", "--out", "o"],
+        ["select", "--model-corpus", "m.txt", "--pool", "p.txt", "--k", "2",
+         "--order", "0", "--out", "o"],
+        ["augment", "--source", "s.jsonl", "--target-corpus", "t.jsonl",
+         "--max-tokens", "0", "--out", "o"],
+        ["train", "--strategy", "es_only", "--es", "es.jsonl", "--epochs", "0",
+         "--out", "o"],
+        ["train", "--strategy", "es_only", "--es", "es.jsonl", "--epochs", "many",
+         "--out", "o"],
+    ],
+    ids=["k-negative", "order-zero", "max-tokens-zero", "epochs-zero", "epochs-not-int"],
+)
+def test_bad_numeric_flags_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "error: argument --" in capsys.readouterr().err
+
+
+def test_eval_out_into_missing_directory_is_a_data_error(trained, tmp_path):
+    base, model, test = trained
+    out = tmp_path / "absent" / "report.json"
+    assert main(["eval", "--model", str(model), "--test", str(test), "--out", str(out)]) == 3

@@ -9,6 +9,8 @@ from espunct.corpus import (
     LabeledUtterance,
     PunctClass,
     RawUtterance,
+    as_labeled,
+    as_text,
     chunk_start,
     extract_labels,
     normalize_punctuation,
@@ -273,3 +275,30 @@ def test_chunk_start():
         chunk_start(seq, 5)
     with pytest.raises(IndexError):
         chunk_start(seq, -1)
+
+
+def test_as_labeled_fills_default_source_only_where_missing():
+    records = [
+        RawUtterance("¿sí?", lang="es"),
+        RawUtterance("vale; ya", source="ldc"),
+        lu("hola ya", "N P"),
+    ]
+    out = as_labeled(records, default_source="indomain")
+    assert out[0] == lu("sí", "FQ", source="indomain", lang="es")
+    assert out[1] == lu("vale ya", "C N", source="ldc")
+    # labeled records pass through as they are
+    assert out[2] is records[2]
+    assert as_labeled(records[:1])[0].source is None
+
+
+def test_as_labeled_rejects_text_that_normalizes_to_nothing():
+    with pytest.raises(MalformedRecord, match="line 2"):
+        as_labeled([RawUtterance("vale."), RawUtterance("\u00ab \u201c\u201d \u00bb")])
+
+
+def test_as_text_renders_labeled_and_keeps_provenance():
+    raw = RawUtterance("¿qué tal?", source="x")
+    labeled = lu("qué tal", "OQ CQ", source="os", lang="es")
+    out = as_text([raw, labeled])
+    assert out[0] is raw
+    assert out[1] == RawUtterance("¿qué tal?", source="os", lang="es")

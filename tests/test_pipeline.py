@@ -11,6 +11,8 @@ from espunct.corpus import (
     LabeledUtterance,
     PunctClass,
     RawUtterance,
+    as_labeled,
+    extract_labels,
     read_jsonl,
     render,
     write_jsonl,
@@ -33,7 +35,8 @@ from espunct.pipeline import (
     serve_tcp,
     tokenize_for_restore,
 )
-from espunct.synthetic import rule_corpus
+from espunct.selection import select_lowest_perplexity, train_ngram
+from espunct.synthetic import rule_corpus, transfer_benchmark
 from espunct.tagger import TrainConfig, train
 
 from helpers import count_trains, labels, lu
@@ -319,6 +322,44 @@ def test_run_experiment_clamps_selection_k(data_dir, tmp_path):
     cfg = config_from_dict(obj, data_dir)
     run_experiment(cfg)
     assert len(read_jsonl(out / "selected_opensubtitle.jsonl")) == 12
+
+
+@pytest.mark.parametrize("pool_form", ["raw", "labeled"])
+def test_selection_matches_the_render_and_extract_path(tmp_path, pool_form):
+    bench = transfer_benchmark(
+        3, es_train_size=40, es_test_size=20, ldc_size=0,
+        pool_good=30, pool_alien=60, en_size=0,
+    )
+    pool = bench.os_pool if pool_form == "raw" else as_labeled(bench.os_pool)
+    write_jsonl(bench.es_train + bench.es_test, tmp_path / "es.jsonl")
+    write_jsonl(pool, tmp_path / "pool.jsonl")
+    out = tmp_path / "out"
+    cfg = config_from_dict(
+        {
+            "schema_version": 1,
+            "datasets": {"es_indomain": "es.jsonl", "opensubtitle_pool": "pool.jsonl"},
+            "selection": {"k": 25, "order": 3},
+            "strategies": [{"strategy": "ES_ONLY", "spanish_sources": ["indomain"]}],
+            "train": {"epochs": 1},
+            "output_dir": str(out),
+        },
+        tmp_path,
+    )
+    run_experiment(cfg)
+
+    # Reference: render everything, select texts, parse the kept ones again.
+    es_train = read_jsonl(out / "es_train.jsonl")
+    lm = train_ngram([RawUtterance(render(u)) for u in es_train], order=3)
+    pool_raw = [
+        RawUtterance(render(u), source=u.source, lang=u.lang)
+        for u in as_labeled(read_jsonl(tmp_path / "pool.jsonl"), "opensubtitle")
+    ]
+    kept = select_lowest_perplexity(lm, pool_raw, 25)
+    expected = [extract_labels(u.text, source=u.source, lang=u.lang) for u in kept]
+    write_jsonl(expected, tmp_path / "expected.jsonl")
+    assert (out / "selected_opensubtitle.jsonl").read_bytes() == (
+        tmp_path / "expected.jsonl"
+    ).read_bytes()
 
 
 def test_run_experiment_is_byte_deterministic(data_dir, tmp_path):
