@@ -24,13 +24,10 @@ _REFILL_DECK = 64
 class TerminalHistogram:
     """Distribution over terminators-per-utterance.
 
-    buckets maps a terminator count to its probability mass; sample_size
-    records how many utterances the estimate came from (0 for a target
-    written by hand).
+    buckets maps a terminator count to its probability mass.
     """
 
     buckets: Mapping[int, float]
-    sample_size: int = 0
 
     def __post_init__(self):
         cleaned: dict[int, float] = {}
@@ -54,7 +51,7 @@ class TerminalHistogram:
             total += 1
         if total == 0:
             raise EmptyCorpus("no counts to build a histogram from")
-        return cls({k: n / total for k, n in tally.items()}, sample_size=total)
+        return cls({k: n / total for k, n in tally.items()})
 
     def mass(self, count: int) -> float:
         return self.buckets.get(count, 0.0)

@@ -21,6 +21,7 @@ from typing import Sequence
 
 from .augment import augment_to_distribution, histogram, write_histogram_report
 from .corpus import (
+    LabeledUtterance,
     RawUtterance,
     Utterance,
     as_labeled,
@@ -68,15 +69,37 @@ def _seed_override(default: int | None = None) -> int | None:
         raise ConfigError(f"PUNCT_SEED must be an integer, got {raw!r}") from None
 
 
+def _text_lines(p: Path) -> list[tuple[int, str]]:
+    """The non-blank lines of a plain-text file with their 1-based numbers."""
+    try:
+        data = p.read_bytes()
+    except OSError as exc:
+        raise IoFailure(f"cannot read {p}: {exc}") from exc
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedRecord(data.count(b"\n", 0, exc.start) + 1, "not UTF-8 text") from None
+    return [(n, line) for n, line in enumerate(text.splitlines(), start=1) if line.strip()]
+
+
 def _read_corpus(path: str) -> list[Utterance]:
     p = Path(path)
     if p.suffix == ".jsonl":
         return read_jsonl(p)
+    return [RawUtterance(line) for _, line in _text_lines(p)]
+
+
+def _read_labeled(path: str) -> list[LabeledUtterance]:
+    """The corpus at path through as_labeled; an error names the file's line."""
+    p = Path(path)
+    if p.suffix == ".jsonl":
+        return as_labeled(read_jsonl(p))
+    numbered = _text_lines(p)
     try:
-        lines = p.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise IoFailure(f"cannot read {p}: {exc}") from exc
-    return [RawUtterance(line) for line in lines if line.strip()]
+        return as_labeled([RawUtterance(line) for _, line in numbered])
+    except MalformedRecord as exc:
+        # Blank lines are not records, so map the record's position back.
+        raise MalformedRecord(numbered[exc.line_number - 1][0], exc.reason) from None
 
 
 def _at_least(low: int):
@@ -94,9 +117,9 @@ def _at_least(low: int):
 def _cmd_normalize(args) -> int:
     records = _read_corpus(args.infile)
     out = []
-    for rec in records:
+    for position, rec in enumerate(records, start=1):
         if not isinstance(rec, RawUtterance):
-            raise MalformedRecord(0, "normalize expects raw text records")
+            raise MalformedRecord(position, "normalize expects raw text records")
         out.append(
             RawUtterance(
                 normalize_punctuation(rec.text), source=rec.source, lang=rec.lang
@@ -107,7 +130,7 @@ def _cmd_normalize(args) -> int:
 
 
 def _cmd_extract(args) -> int:
-    write_jsonl(as_labeled(_read_corpus(args.infile)), args.out)
+    write_jsonl(_read_labeled(args.infile), args.out)
     return 0
 
 
@@ -125,8 +148,8 @@ def _cmd_select(args) -> int:
 
 
 def _cmd_augment(args) -> int:
-    source = as_labeled(_read_corpus(args.source))
-    target = histogram(as_labeled(_read_corpus(args.target_corpus)))
+    source = _read_labeled(args.source)
+    target = histogram(_read_labeled(args.target_corpus))
     grown = augment_to_distribution(
         source, target, _seed_override(args.seed), args.max_tokens
     )
@@ -137,17 +160,14 @@ def _cmd_augment(args) -> int:
 
 
 def _cmd_convert(args) -> int:
-    converted = [
-        anglicize_to_spanish_conventions(u)
-        for u in as_labeled(_read_corpus(args.infile))
-    ]
+    converted = [anglicize_to_spanish_conventions(u) for u in _read_labeled(args.infile)]
     write_jsonl(converted, args.out)
     return 0
 
 
 def _cmd_train(args) -> int:
-    es = as_labeled(_read_corpus(args.es))
-    en = as_labeled(_read_corpus(args.en)) if args.en else None
+    es = _read_labeled(args.es)
+    en = _read_labeled(args.en) if args.en else None
     config = TrainConfig(
         epochs=args.epochs,
         seed=_seed_override(args.seed),
@@ -161,7 +181,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     model = TaggerModel.load(args.model)
-    test = as_labeled(_read_corpus(args.test))
+    test = _read_labeled(args.test)
     report = evaluate(
         model, test, apply_repair=args.repair, dataset_tag=Path(args.test).stem
     )

@@ -382,25 +382,29 @@ def read_jsonl(path: str | Path) -> list[Utterance]:
     """Read a corpus file, one JSON record per line.
 
     Raw records carry "text"; labeled records carry "tokens" and
-    "labels".  A file may hold either shape but not a mixture.
+    "labels".  A file may hold either shape but not a mixture.  Lines are
+    decoded one at a time so a non-UTF-8 byte names its line.
     """
     records: list[Utterance] = []
     try:
-        with open(path, encoding="utf-8") as fh:
-            for line_number, line in enumerate(fh, start=1):
-                stripped = line.strip()
+        with open(path, "rb") as fh:
+            for line_number, raw in enumerate(fh, start=1):
+                try:
+                    stripped = raw.decode("utf-8").strip()
+                except UnicodeDecodeError:
+                    raise MalformedRecord(line_number, "not UTF-8 text") from None
                 if not stripped:
                     raise MalformedRecord(line_number, "blank line")
                 try:
                     obj = json.loads(stripped)
                 except json.JSONDecodeError as exc:
                     raise MalformedRecord(line_number, f"bad JSON: {exc}") from exc
-                records.append(_record_from_dict(obj, line_number))
+                record = _record_from_dict(obj, line_number)
+                if records and type(record) is not type(records[0]):
+                    raise MalformedRecord(line_number, "file mixes raw and labeled records")
+                records.append(record)
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
-    kinds = {type(r) for r in records}
-    if len(kinds) > 1:
-        raise MalformedRecord(0, "file mixes raw and labeled records")
     return records
 
 

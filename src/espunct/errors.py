@@ -15,6 +15,7 @@ class MalformedRecord(PunctError):
     def __init__(self, line_number: int, message: str):
         super().__init__(f"line {line_number}: {message}")
         self.line_number = line_number
+        self.reason = message
 
 
 class IoFailure(PunctError):

@@ -21,7 +21,7 @@ from .errors import (
     PredictionLengthMismatch,
     UnknownClass,
 )
-from .postprocess import RepairPolicy, repair_pairing
+from .postprocess import repair_pairing
 
 _FRACTION_TOLERANCE = 1e-9
 _MIN_SPLIT_SIZE = 10
@@ -143,7 +143,6 @@ def evaluate(
     test: Sequence[LabeledUtterance],
     apply_repair: bool = True,
     *,
-    repair_policy: RepairPolicy = RepairPolicy.DROP_OPEN_INSERT_OPEN,
     dataset_tag: str = "test",
 ) -> EvalReport:
     """Score a model on labeled utterances.
@@ -170,7 +169,7 @@ def evaluate(
                 f"model returned {len(pred)} labels for {len(u.labels)} tokens"
             )
         if apply_repair:
-            pred = repair_pairing(pred, repair_policy)
+            pred = repair_pairing(pred)
         for gold_label, pred_label in zip(u.labels, pred):
             confusion[class_index[gold_label]][class_index[pred_label]] += 1
             tokens_seen += 1

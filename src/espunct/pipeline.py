@@ -47,7 +47,7 @@ from .errors import (
     PunctError,
 )
 from .evaluate import EvalReport, evaluate, split_corpus, write_report_json
-from .postprocess import RepairPolicy, repair_pairing
+from .postprocess import repair_pairing
 from .selection import (
     score_pool,
     select_lowest_perplexity,
@@ -83,6 +83,33 @@ _ROW_KEYS = {"name", "strategy", "spanish_sources", "augment"}
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ConfigError(message)
+
+
+def _section(value: object, where: str, keys: set[str]) -> dict:
+    """value as a JSON object holding no keys outside keys."""
+    _require(isinstance(value, dict), f"{where} must be an object")
+    unknown = set(value) - keys
+    _require(not unknown, f"unknown {where} keys: {sorted(unknown)}")
+    return value
+
+
+def _int(section: dict, where: str, key: str, default: int | None, low: int | None = None) -> int:
+    """section[key] (default when absent) as an integer, at least low if given;
+    booleans and null are refused, so a default of None makes the key required."""
+    value = section.get(key, default)
+    _require(
+        isinstance(value, int) and not isinstance(value, bool)
+        and (low is None or value >= low),
+        f"{where}.{key} must be an integer" + ("" if low is None else f" >= {low}"),
+    )
+    return value
+
+
+def _bool(section: dict, where: str, key: str, default: bool) -> bool:
+    """section[key] (default when absent) as a boolean."""
+    value = section.get(key, default)
+    _require(isinstance(value, bool), f"{where}.{key} must be a boolean")
+    return value
 
 
 @dataclass(frozen=True)
@@ -124,9 +151,7 @@ def _dataset_path(datasets: dict, key: str, base_dir: Path, required: bool) -> P
         _require(not required, f"datasets.{key} is required")
         return None
     _require(isinstance(value, str), f"datasets.{key} must be a path string")
-    path = Path(value)
-    if not path.is_absolute():
-        path = base_dir / path
+    path = Path(base_dir, value)  # an absolute value replaces base_dir
     _require(path.is_file(), f"datasets.{key}: no such file: {path}")
     return path
 
@@ -142,15 +167,14 @@ def parse_strategy(name: str) -> Strategy:
 
 
 def _parse_row(
-    entry: object, available: tuple[str, ...]
+    index: int, entry: object, available: tuple[str, ...]
 ) -> ExperimentRow:
+    where = f"strategies[{index}]"
     if isinstance(entry, str):
         entry = {"strategy": entry}
-    _require(isinstance(entry, dict), f"strategy entry {entry!r} must be a string or object")
-    unknown = set(entry) - _ROW_KEYS
-    _require(not unknown, f"unknown strategy entry keys: {sorted(unknown)}")
+    entry = _section(entry, where, _ROW_KEYS)
     raw_strategy = entry.get("strategy")
-    _require(isinstance(raw_strategy, str), "strategy entry needs a strategy name")
+    _require(isinstance(raw_strategy, str), f"{where}.strategy must be a strategy name")
     strategy = parse_strategy(raw_strategy)
     name = entry.get("name", strategy.value.lower())
     _require(isinstance(name, str) and name != "", "row name must be a non-empty string")
@@ -169,69 +193,36 @@ def _parse_row(
     _require("indomain" in sources, f"row {name!r} must train on the in-domain split")
     _require(len(set(sources)) == len(sources), f"row {name!r} repeats a source")
     ordered = tuple(s for s in SPANISH_SOURCES if s in sources)
-    augment = entry.get("augment", False)
-    _require(isinstance(augment, bool), "augment must be a boolean")
+    augment = _bool(entry, where, "augment", False)
     return ExperimentRow(name=name, strategy=strategy, spanish_sources=ordered, augment=augment)
 
 
 def config_from_dict(
     obj: object, base_dir: Path, seed_override: int | None = None
 ) -> ExperimentConfig:
-    """Validate a parsed config document into an ExperimentConfig."""
-    _require(isinstance(obj, dict), "config is not a JSON object")
-    _require(
-        obj.get("schema_version") == SCHEMA_VERSION,
-        f"unsupported schema_version {obj.get('schema_version')!r}",
-    )
-    unknown = set(obj) - _CONFIG_KEYS
-    _require(not unknown, f"unknown config keys: {sorted(unknown)}")
+    """Validate a parsed config document into an ExperimentConfig;
+    seed_override, when given, replaces all three seeds once they are checked."""
+    obj = _section(obj, "config", _CONFIG_KEYS)
+    version = _int(obj, "config", "schema_version", None)
+    _require(version == SCHEMA_VERSION, f"unsupported schema_version {version!r}")
 
-    datasets = obj.get("datasets")
-    _require(isinstance(datasets, dict), "datasets must be an object")
-    unknown = set(datasets) - _DATASET_KEYS
-    _require(not unknown, f"unknown dataset keys: {sorted(unknown)}")
+    datasets = _section(obj.get("datasets", {}), "datasets", _DATASET_KEYS)
     es_indomain = _dataset_path(datasets, "es_indomain", base_dir, required=True)
     ldc = _dataset_path(datasets, "ldc", base_dir, required=False)
     pool = _dataset_path(datasets, "opensubtitle_pool", base_dir, required=False)
     en = _dataset_path(datasets, "en_indomain", base_dir, required=False)
 
-    selection = obj.get("selection")
     if pool is None:
-        _require(selection is None, "selection configured without an opensubtitle_pool")
+        _require(obj.get("selection") is None, "selection configured without an opensubtitle_pool")
         selection_k, lm_order = 0, 4
     else:
-        _require(isinstance(selection, dict), "selection must be an object with k")
-        unknown = set(selection) - {"k", "order"}
-        _require(not unknown, f"unknown selection keys: {sorted(unknown)}")
-        selection_k = selection.get("k")
-        _require(
-            isinstance(selection_k, int) and not isinstance(selection_k, bool)
-            and selection_k >= 0,
-            "selection.k must be a non-negative integer",
-        )
-        lm_order = selection.get("order", 4)
-        _require(
-            isinstance(lm_order, int) and not isinstance(lm_order, bool)
-            and lm_order >= 1,
-            "selection.order must be a positive integer",
-        )
+        selection = _section(obj.get("selection", {}), "selection", {"k", "order"})
+        selection_k = _int(selection, "selection", "k", None, low=0)
+        lm_order = _int(selection, "selection", "order", 4, low=1)
 
-    augmentation = obj.get("augmentation", {})
-    _require(isinstance(augmentation, dict), "augmentation must be an object")
-    unknown = set(augmentation) - {"seed", "max_tokens"}
-    _require(not unknown, f"unknown augmentation keys: {sorted(unknown)}")
-    augmentation_seed = augmentation.get("seed", 0)
-    augmentation_max_tokens = augmentation.get("max_tokens", 200)
-    _require(
-        isinstance(augmentation_seed, int) and not isinstance(augmentation_seed, bool),
-        "augmentation.seed must be an integer",
-    )
-    _require(
-        isinstance(augmentation_max_tokens, int)
-        and not isinstance(augmentation_max_tokens, bool)
-        and augmentation_max_tokens >= 1,
-        "augmentation.max_tokens must be a positive integer",
-    )
+    augmentation = _section(obj.get("augmentation", {}), "augmentation", {"seed", "max_tokens"})
+    augmentation_seed = _int(augmentation, "augmentation", "seed", 0)
+    augmentation_max_tokens = _int(augmentation, "augmentation", "max_tokens", 200, low=1)
 
     available = tuple(
         s
@@ -247,7 +238,7 @@ def config_from_dict(
         isinstance(strategies, list) and strategies,
         "strategies must be a non-empty list",
     )
-    rows = tuple(_parse_row(entry, available) for entry in strategies)
+    rows = tuple(_parse_row(i, entry, available) for i, entry in enumerate(strategies))
     names = [row.name for row in rows]
     _require(
         len(set(names)) == len(names),
@@ -260,43 +251,15 @@ def config_from_dict(
                 f"row {row.name!r} needs datasets.en_indomain",
             )
 
-    train_obj = obj.get("train", {})
-    _require(isinstance(train_obj, dict), "train must be an object")
-    unknown = set(train_obj) - {"epochs", "seed", "shuffle"}
-    _require(not unknown, f"unknown train keys: {sorted(unknown)}")
-    try:
-        train_config = TrainConfig(
-            epochs=train_obj.get("epochs", 5),
-            seed=train_obj.get("seed", 0),
-            shuffle=train_obj.get("shuffle", True),
-        )
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"bad train settings: {exc}") from exc
-
-    eval_obj = obj.get("eval", {})
-    _require(isinstance(eval_obj, dict), "eval must be an object")
-    unknown = set(eval_obj) - {"repair", "seed"}
-    _require(not unknown, f"unknown eval keys: {sorted(unknown)}")
-    eval_repair = eval_obj.get("repair", True)
-    _require(isinstance(eval_repair, bool), "eval.repair must be a boolean")
-    split_seed = eval_obj.get("seed", 0)
-    _require(
-        isinstance(split_seed, int) and not isinstance(split_seed, bool),
-        "eval.seed must be an integer",
-    )
+    train = _section(obj.get("train", {}), "train", {"epochs", "seed", "shuffle"})
+    train_seed = _int(train, "train", "seed", 0)
+    eval_obj = _section(obj.get("eval", {}), "eval", {"repair", "seed"})
+    split_seed = _int(eval_obj, "eval", "seed", 0)
+    if seed_override is not None:
+        train_seed = augmentation_seed = split_seed = seed_override
 
     output_dir = obj.get("output_dir")
     _require(isinstance(output_dir, str) and output_dir != "", "output_dir is required")
-    out_path = Path(output_dir)
-    if not out_path.is_absolute():
-        out_path = base_dir / out_path
-
-    if seed_override is not None:
-        train_config = TrainConfig(
-            epochs=train_config.epochs, seed=seed_override, shuffle=train_config.shuffle
-        )
-        augmentation_seed = seed_override
-        split_seed = seed_override
 
     return ExperimentConfig(
         es_indomain=es_indomain,
@@ -308,10 +271,14 @@ def config_from_dict(
         augmentation_seed=augmentation_seed,
         augmentation_max_tokens=augmentation_max_tokens,
         rows=rows,
-        train=train_config,
-        eval_repair=eval_repair,
+        train=TrainConfig(
+            epochs=_int(train, "train", "epochs", 5, low=1),
+            seed=train_seed,
+            shuffle=_bool(train, "train", "shuffle", True),
+        ),
+        eval_repair=_bool(eval_obj, "eval", "repair", True),
         split_seed=split_seed,
-        output_dir=out_path,
+        output_dir=Path(base_dir, output_dir),
     )
 
 
@@ -320,7 +287,7 @@ def load_config(path: str | Path, seed_override: int | None = None) -> Experimen
     path = Path(path)
     try:
         raw = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         obj = json.loads(raw)
@@ -549,21 +516,13 @@ def tokenize_for_restore(text: str) -> list[str]:
     return tokens
 
 
-def restore(
-    model,
-    text: str,
-    *,
-    policy: RepairPolicy = RepairPolicy.DROP_OPEN_INSERT_OPEN,
-    capitalize: bool = True,
-) -> tuple[str, list[PunctClass]]:
-    """Punctuate one line of text: tokenize, predict, repair, render."""
+def restore(model, text: str) -> tuple[str, list[PunctClass]]:
+    """Punctuate one line of text: tokenize, predict, repair, render capitalized."""
     tokens = tokenize_for_restore(text)
     if not tokens:
         raise MalformedRequest("text has no word tokens")
-    labels = repair_pairing(model.predict(tokens), policy)
-    rendered = render(
-        LabeledUtterance(tuple(tokens), tuple(labels)), capitalize=capitalize
-    )
+    labels = repair_pairing(model.predict(tokens))
+    rendered = render(LabeledUtterance(tuple(tokens), tuple(labels)), capitalize=True)
     return rendered, labels
 
 

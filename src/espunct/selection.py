@@ -26,23 +26,19 @@ MIN_TOKEN_COUNT = 2
 _Record = TypeVar("_Record")
 
 
-def lm_tokenize(text: str, *, lowercase: bool = True, strip_punctuation: bool = True) -> list[str]:
-    """Whitespace tokens prepared for language modeling.
+def lm_tokenize(text: str) -> list[str]:
+    """Lowercased whitespace tokens prepared for language modeling.
 
-    Boundary punctuation is peeled off repeatedly so "¿cómo?" and "cómo"
+    Boundary punctuation is peeled off repeatedly so "¿Cómo?" and "cómo"
     count as the same word; tokens that were pure punctuation vanish.
     """
-    if strip_punctuation:
-        text = normalize_punctuation(text)
     out = []
-    for tok in text.split():
-        if lowercase:
-            tok = tok.lower()
-        if strip_punctuation:
-            while tok and tok[0] in SUPPORTED_MARKS:
-                tok = tok[1:]
-            while tok and tok[-1] in SUPPORTED_MARKS:
-                tok = tok[:-1]
+    for tok in normalize_punctuation(text).split():
+        tok = tok.lower()
+        while tok and tok[0] in SUPPORTED_MARKS:
+            tok = tok[1:]
+        while tok and tok[-1] in SUPPORTED_MARKS:
+            tok = tok[:-1]
         if tok:
             out.append(tok)
     return out
@@ -61,8 +57,6 @@ class NGramModel:
     counts: dict[tuple[str, ...], dict[str, int]]
     context_totals: dict[tuple[str, ...], int]
     vocabulary: frozenset[str]
-    lowercase: bool = True
-    strip_punctuation: bool = True
 
     def _prob(self, token: str, context: tuple[str, ...]) -> float:
         if not context:
@@ -92,12 +86,7 @@ class NGramModel:
     def log_likelihood(self, text: str) -> tuple[float, int]:
         """Sum of log P over the token stream plus end-of-utterance, and
         the number of scored events."""
-        tokens = [
-            self._map(t)
-            for t in lm_tokenize(
-                text, lowercase=self.lowercase, strip_punctuation=self.strip_punctuation
-            )
-        ]
+        tokens = [self._map(t) for t in lm_tokenize(text)]
         seq = [BOS] * (self.order - 1) + tokens + [EOS]
         total = 0.0
         for i in range(self.order - 1, len(seq)):
@@ -106,13 +95,7 @@ class NGramModel:
         return total, len(tokens) + 1
 
 
-def train_ngram(
-    corpus: Sequence[RawUtterance],
-    order: int = 4,
-    *,
-    lowercase: bool = True,
-    strip_punctuation: bool = True,
-) -> NGramModel:
+def train_ngram(corpus: Sequence[RawUtterance], order: int = 4) -> NGramModel:
     """Count-based training of an interpolated Witten-Bell model.
 
     Singleton tokens become UNK so the model has probability mass for
@@ -122,10 +105,7 @@ def train_ngram(
         raise ValueError(f"order must be >= 1, got {order}")
     if not corpus:
         raise EmptyCorpus("cannot train a language model on no utterances")
-    streams = [
-        lm_tokenize(u.text, lowercase=lowercase, strip_punctuation=strip_punctuation)
-        for u in corpus
-    ]
+    streams = [lm_tokenize(u.text) for u in corpus]
     freq: dict[str, int] = {}
     for stream in streams:
         for tok in stream:
@@ -149,8 +129,6 @@ def train_ngram(
         counts=counts,
         context_totals=context_totals,
         vocabulary=vocabulary,
-        lowercase=lowercase,
-        strip_punctuation=strip_punctuation,
     )
 
 

@@ -340,7 +340,7 @@ class TaggerModel:
         try:
             with open(path, encoding="utf-8") as fh:
                 obj = json.load(fh)
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ModelLoadError(f"cannot read {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ModelLoadError(f"model file is not JSON: {exc}") from exc

@@ -26,7 +26,6 @@ def single(word="hola", n=2):
 def test_histogram_basics():
     corpus = [lu("a b", "N P"), lu("c d e", "P N FQ"), lu("f", "P")]
     h = histogram(corpus)
-    assert h.sample_size == 3
     assert h.mass(1) == pytest.approx(2 / 3)
     assert h.mass(2) == pytest.approx(1 / 3)
     assert h.mass(5) == 0.0

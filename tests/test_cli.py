@@ -273,3 +273,44 @@ def test_eval_out_into_missing_directory_is_a_data_error(trained, tmp_path):
     base, model, test = trained
     out = tmp_path / "absent" / "report.json"
     assert main(["eval", "--model", str(model), "--test", str(test), "--out", str(out)]) == 3
+
+
+@pytest.mark.parametrize(
+    "argv, name, content, code, message",
+    [
+        (["extract"], "bad.jsonl", b'{"text": "vale."}\n{"text": "caf\xff."}\n', 3,
+         "line 2: not UTF-8"),
+        (["extract"], "bad.txt", b"vale.\n\ncaf\xff.\n", 3, "line 3: not UTF-8"),
+        (["experiment", "--config"], "bad.json", b'{"schema_version": 1, "x": "\xff"}', 2,
+         "cannot read config"),
+        (["predict", "--text", "hola", "--model"], "bad.json", b'{"weights": "\xff"}', 2,
+         "cannot read"),
+    ],
+    ids=["jsonl", "text", "config", "model"],
+)
+def test_non_utf8_input_is_a_typed_error(tmp_path, capsys, argv, name, content, code, message):
+    path = tmp_path / name
+    path.write_bytes(content)
+    if argv == ["extract"]:
+        argv = ["extract", "--out", str(tmp_path / "o"), "--in"]
+    assert main(argv + [str(path)]) == code
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, name, content, expected",
+    [
+        ("extract", "blank.txt", "\nvale.\n\n\u00ab\u00bb\n", "line 4: text has no tokens"),
+        ("extract", "mixed.jsonl",
+         '{"text": "vale."}\n{"text": "ya."}\n{"tokens": ["ya"], "labels": ["PERIOD"]}\n',
+         "line 3: file mixes raw and labeled records"),
+        ("normalize", "labeled.jsonl", '{"tokens": ["ya"], "labels": ["PERIOD"]}\n',
+         "line 1: normalize expects raw text records"),
+    ],
+    ids=["blank-lines-counted", "mixed-kinds", "normalize-labeled"],
+)
+def test_data_errors_name_the_file_line(tmp_path, capsys, command, name, content, expected):
+    path = tmp_path / name
+    path.write_text(content, encoding="utf-8")
+    assert main([command, "--in", str(path), "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err.startswith(f"error: {expected}")

@@ -2,6 +2,7 @@
 
 import io
 import json
+import re
 import socket
 import threading
 
@@ -223,6 +224,44 @@ def test_config_rejections(data_dir, tmp_path):
     obj = base_config(data_dir, out)
     obj["augmentation"]["seed"] = True
     _expect_config_error(obj, data_dir)
+
+
+_INT_KEYS = [
+    ("config", "schema_version"),
+    ("selection", "k"),
+    ("selection", "order"),
+    ("augmentation", "seed"),
+    ("augmentation", "max_tokens"),
+    ("train", "epochs"),
+    ("train", "seed"),
+    ("eval", "seed"),
+]
+_BOOL_KEYS = [("train", "shuffle"), ("eval", "repair"), ("strategies[2]", "augment")]
+
+
+@pytest.mark.parametrize(
+    "where, key, value",
+    [(w, k, v) for w, k in _INT_KEYS for v in (True, 1.5, "1", None, [])]
+    + [(w, k, v) for w, k in _BOOL_KEYS for v in (0, 1.5, "1", None, [])],
+)
+def test_config_rejects_wrong_json_types(data_dir, tmp_path, where, key, value):
+    obj = base_config(data_dir, tmp_path / "out")
+    nested = {"config": obj, "strategies[2]": obj["strategies"][2]}
+    section = nested[where] if where in nested else obj[where]
+    section[key] = value
+    with pytest.raises(ConfigError, match=re.escape(f"{where}.{key} must be")):
+        config_from_dict(obj, data_dir)
+
+
+def test_config_null_selection_without_pool(data_dir, tmp_path):
+    obj = base_config(data_dir, tmp_path / "out")
+    del obj["datasets"]["opensubtitle_pool"]
+    obj["selection"] = None
+    obj["strategies"] = ["ES_ONLY"]
+    cfg = config_from_dict(obj, data_dir, seed_override=7)
+    assert cfg.opensubtitle_pool is None
+    assert (cfg.selection_k, cfg.lm_order) == (0, 4)
+    assert (cfg.train.seed, cfg.augmentation_seed, cfg.split_seed) == (7, 7, 7)
 
 
 def test_config_minimal_es_only(data_dir, tmp_path):
