@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
-from .corpus import LabeledUtterance, terminal_count
-from .errors import EmptyCorpus, IoFailure, ZeroTerminalSource
+from .corpus import LabeledUtterance, terminal_count, write_lines_atomic
+from .errors import EmptyCorpus, ZeroTerminalSource
 
 _MASS_TOLERANCE = 1e-9
 # Draws are dealt in decks of this size once the initial estimate runs out.
@@ -126,21 +127,22 @@ def augment_to_distribution(
     """
     if not source:
         return []
-    for u in source:
-        if terminal_count(u) == 0:
-            raise ZeroTerminalSource(
-                f"utterance {u.tokens[:3]}... has no terminating label"
-            )
+    counts = list(map(terminal_count, source))
+    if 0 in counts:
+        u = source[counts.index(0)]
+        raise ZeroTerminalSource(
+            f"utterance {u.tokens[:3]}... has no terminating label"
+        )
     if target.mass(0) > 0:
         raise ValueError("target gives mass to zero terminators")
     if max_tokens < 1:
         raise ValueError(f"max_tokens must be >= 1, got {max_tokens}")
 
     rng = random.Random(seed)
-    shuffled = list(source)
+    shuffled = list(zip(source, counts))
     rng.shuffle(shuffled)
 
-    total_terminals = sum(terminal_count(u) for u in shuffled)
+    total_terminals = sum(counts)
     estimate = max(1, round(total_terminals / target.mean))
     deck = _quota_deck(target, estimate, rng)
     dealt = 0
@@ -157,12 +159,12 @@ def augment_to_distribution(
         terms = 0
         size = 0
         while idx < len(shuffled) and terms < want:
-            u = shuffled[idx]
+            u, count = shuffled[idx]
             if group and size + len(u.tokens) > max_tokens:
                 break
             group.append(u)
             idx += 1
-            terms += terminal_count(u)
+            terms += count
             size += len(u.tokens)
         out.append(_concat(group))
     return out
@@ -176,13 +178,8 @@ def write_histogram_report(
 ) -> None:
     """TSV of per-bucket probability mass: target vs source vs augmented."""
     keys = sorted(set(target.buckets) | set(before.buckets) | set(after.buckets))
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("terminals\ttarget\tbefore\tafter\n")
-            for k in keys:
-                fh.write(
-                    f"{k}\t{target.mass(k):.9g}\t{before.mass(k):.9g}"
-                    f"\t{after.mass(k):.9g}\n"
-                )
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    rows = (
+        f"{k}\t{target.mass(k):.9g}\t{before.mass(k):.9g}\t{after.mass(k):.9g}\n"
+        for k in keys
+    )
+    write_lines_atomic(path, chain(["terminals\ttarget\tbefore\tafter\n"], rows))

@@ -4,16 +4,20 @@ Utterances live in two forms: raw punctuated text, and a parallel
 (tokens, labels) pair where each label says which punctuation attaches
 to that token.  This module owns the label inventory, the punctuation
 normalizer, the reversible text<->labels mapping, JSONL round-trip IO,
-and the record conversions the CLI and the pipeline share (as_labeled,
-as_text).
+the atomic line writer every artifact goes through, and the record
+conversions the CLI and the pipeline share (as_labeled, as_text).
 """
 
 from __future__ import annotations
 
 import json
+import os
 import re
+import stat
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence, Union
 
@@ -128,6 +132,11 @@ _TRAILING_CHARS = "?!,."
 REJECTED_BOUNDARY = set(
     "\"'\u00ab\u00bb\u201c\u201d\u2018\u2019:;\u2026()\u2014\u2013"
 )
+_BOUNDARY_REJECTS = frozenset(SUPPORTED_MARKS) | REJECTED_BOUNDARY
+
+# Each label keyed by itself; a member equals and hashes as its value
+# string, so the value string finds it too.
+_LABEL_OF = {label: label for label in PunctClass}
 
 _LABEL_FOR_MARKS = {
     (None, None): PunctClass.NONE,
@@ -170,22 +179,42 @@ class LabeledUtterance:
     lang: str | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "tokens", tuple(self.tokens))
-        object.__setattr__(self, "labels", tuple(PunctClass(x) for x in self.labels))
-        if not self.tokens:
+        for name in ("tokens", "labels"):
+            if isinstance(getattr(self, name), str):
+                raise ValueError(f"{name} is a string, not a sequence")
+        tokens = tuple(self.tokens)
+        labels = tuple(self.labels)
+        try:
+            labels = tuple(map(_LABEL_OF.__getitem__, labels))
+        except (KeyError, TypeError):
+            # Not all labels are label values: PunctClass names the bad one.
+            labels = tuple(PunctClass(x) for x in labels)
+        object.__setattr__(self, "tokens", tokens)
+        object.__setattr__(self, "labels", labels)
+        if not tokens:
             raise ValueError("utterance has no tokens")
-        if len(self.tokens) != len(self.labels):
-            raise ValueError(
-                f"{len(self.tokens)} tokens but {len(self.labels)} labels"
-            )
-        for tok in self.tokens:
+        if len(tokens) != len(labels):
+            raise ValueError(f"{len(tokens)} tokens but {len(labels)} labels")
+        # Splitting the joined tokens gives them back exactly when each is
+        # a non-empty string without whitespace (split and isspace agree
+        # on what whitespace is).  Only a failure walks token by token.
+        try:
+            clean = " ".join(tokens).split() == list(tokens)
+        except TypeError:
+            clean = False
+        if (
+            clean
+            and _BOUNDARY_REJECTS.isdisjoint(map(itemgetter(0), tokens))
+            and _BOUNDARY_REJECTS.isdisjoint(map(itemgetter(-1), tokens))
+        ):
+            return
+        for tok in tokens:
+            if tok and not isinstance(tok, str):
+                raise TypeError(f"token {tok!r} is not a string")
             if not tok or any(ch.isspace() for ch in tok):
                 raise ValueError(f"bad token {tok!r}")
-            for ch in (tok[0], tok[-1]):
-                if ch in SUPPORTED_MARKS or ch in REJECTED_BOUNDARY:
-                    raise ValueError(
-                        f"token {tok!r} has a boundary punctuation mark"
-                    )
+            if tok[0] in _BOUNDARY_REJECTS or tok[-1] in _BOUNDARY_REJECTS:
+                raise ValueError(f"token {tok!r} has a boundary punctuation mark")
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -337,12 +366,17 @@ def as_text(records: Sequence[Utterance]) -> list[RawUtterance]:
 
 # --- JSONL IO --------------------------------------------------------------
 
+# One encoder for every record: json.dumps builds a new one per call
+# whenever it gets non-default arguments.
+_encode_record = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
+
 
 def _record_to_dict(rec: Utterance) -> dict:
     if isinstance(rec, RawUtterance):
         out: dict = {"text": rec.text}
     else:
-        out = {"tokens": list(rec.tokens), "labels": [x.name for x in rec.labels]}
+        # A label is a str whose value is its name, so it encodes as one.
+        out = {"tokens": list(rec.tokens), "labels": list(rec.labels)}
     if rec.source is not None:
         out["source"] = rec.source
     if rec.lang is not None:
@@ -367,7 +401,7 @@ def _record_from_dict(obj: object, line_number: int) -> Utterance:
             for field in ("tokens", "labels"):
                 value = obj[field]
                 if not isinstance(value, list) or not all(
-                    isinstance(x, str) for x in value
+                    map(isinstance, value, repeat(str))
                 ):
                     raise ValueError(f"{field} is not a list of strings")
             return LabeledUtterance(
@@ -410,24 +444,60 @@ def read_jsonl(path: str | Path) -> list[Utterance]:
 
 def write_jsonl(records: Iterable[Utterance], path: str | Path) -> None:
     """Write records as canonical JSONL: fixed key order, UTF-8, no ASCII
-    escaping, compact separators.  Byte-identical for identical input."""
-    lines = []
-    for rec in records:
-        lines.append(
-            json.dumps(_record_to_dict(rec), ensure_ascii=False, separators=(",", ":"))
-        )
+    escaping, compact separators.  Byte-identical for identical input,
+    and atomic (see write_lines_atomic)."""
+    write_lines_atomic(
+        path, (_encode_record(_record_to_dict(rec)) + "\n" for rec in records)
+    )
+
+
+def write_lines_atomic(path: str | Path, lines: Iterable[str]) -> None:
+    """Stream lines (each carrying its own newline) as UTF-8 to path.
+
+    A missing or regular target in a writable directory is written to a
+    temporary file beside it and renamed into place: a reader sees the
+    old file or the whole new one, and a failed write leaves the old file
+    and no temporary file behind.  Any other target (a symlink, a device,
+    a FIFO, a file in a read-only directory) is written in place, since
+    renaming onto it would replace the link or node, or cannot be done.
+    An OSError is raised as IoFailure."""
+    path = Path(path)
+    if _replaceable(path):
+        target = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    else:
+        target = path
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            for line in lines:
-                fh.write(line)
-                fh.write("\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+        with open(target, "w", encoding="utf-8") as fh:
+            fh.writelines(lines)
+        if target is not path:
+            os.replace(target, path)
+    except BaseException as exc:
+        if target is not path:
+            try:
+                os.unlink(target)
+            except OSError:
+                pass
+        if isinstance(exc, OSError):
+            raise IoFailure(f"cannot write {path}: {exc}") from exc
+        raise
+
+
+def _replaceable(path: Path) -> bool:
+    """True when renaming a new file onto path replaces only a regular
+    file (or nothing) and the directory lets us create one beside it."""
+    try:
+        if not stat.S_ISREG(os.lstat(path).st_mode):
+            return False
+    except FileNotFoundError:
+        pass
+    except OSError:
+        return False
+    return os.access(path.parent, os.W_OK | os.X_OK)
 
 
 def terminal_count(u: LabeledUtterance) -> int:
     """Number of sentence-ending labels in the utterance."""
-    return sum(1 for lab in u.labels if lab.is_terminating)
+    return sum(map(_TERMINATING.__contains__, u.labels))
 
 
 def chunk_start(labels: Sequence[PunctClass], i: int) -> int:

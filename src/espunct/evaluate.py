@@ -13,11 +13,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-from .corpus import CLASS_ORDER, LabeledUtterance, PunctClass
+from .corpus import CLASS_ORDER, LabeledUtterance, PunctClass, write_lines_atomic
 from .errors import (
     BadFractions,
     EmptyTestSet,
-    IoFailure,
     PredictionLengthMismatch,
     UnknownClass,
 )
@@ -126,10 +125,7 @@ def write_report_json(report: EvalReport, path: str | Path) -> None:
     text = json.dumps(
         report.to_json_dict(), ensure_ascii=False, sort_keys=True, indent=2
     )
-    try:
-        Path(path).write_text(text + "\n", encoding="utf-8")
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    write_lines_atomic(path, [text, "\n"])
 
 
 def _f1(precision: float, recall: float) -> float:

@@ -37,6 +37,7 @@ from .corpus import (
     read_jsonl,
     render,
     write_jsonl,
+    write_lines_atomic,
 )
 from .crosslingual import anglicize_to_spanish_conventions
 from .errors import (
@@ -436,8 +437,8 @@ def run_experiment(config: ExperimentConfig) -> list[EvalReport]:
             )
             reports.append(report)
             write_report_json(report, out_dir / f"report_{row.name}.json")
-            (out_dir / f"report_{row.name}.txt").write_text(
-                report.format_table() + "\n", encoding="utf-8"
+            write_lines_atomic(
+                out_dir / f"report_{row.name}.txt", [report.format_table(), "\n"]
             )
             comparison_rows.append(
                 (
@@ -482,10 +483,10 @@ def _select(
 
 def _write_comparison(rows: Sequence[tuple], out_dir: Path) -> None:
     header = ("row", "strategy", "es_train", "en_train", "micro_f1", "macro_f1")
-    with open(out_dir / "comparison.tsv", "w", encoding="utf-8") as fh:
-        fh.write("\t".join(header) + "\n")
-        for name, strategy, es_n, en_n, micro, macro in rows:
-            fh.write(f"{name}\t{strategy}\t{es_n}\t{en_n}\t{micro:.6f}\t{macro:.6f}\n")
+    tsv = ["\t".join(header) + "\n"]
+    for name, strategy, es_n, en_n, micro, macro in rows:
+        tsv.append(f"{name}\t{strategy}\t{es_n}\t{en_n}\t{micro:.6f}\t{macro:.6f}\n")
+    write_lines_atomic(out_dir / "comparison.tsv", tsv)
     lines = [
         "| row | strategy | es train | en train | micro-F1 | macro-F1 |",
         "|---|---|---:|---:|---:|---:|",
@@ -494,7 +495,7 @@ def _write_comparison(rows: Sequence[tuple], out_dir: Path) -> None:
         lines.append(
             f"| {name} | {strategy} | {es_n} | {en_n} | {micro:.4f} | {macro:.4f} |"
         )
-    (out_dir / "comparison.md").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_lines_atomic(out_dir / "comparison.md", ["\n".join(lines), "\n"])
 
 
 # --- serving ---------------------------------------------------------------

@@ -10,11 +10,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Sequence, TypeVar
 
-from .corpus import RawUtterance, SUPPORTED_MARKS, normalize_punctuation
-from .errors import EmptyCorpus, IoFailure, KTooLarge
+from .corpus import (
+    RawUtterance,
+    SUPPORTED_MARKS,
+    normalize_punctuation,
+    write_lines_atomic,
+)
+from .errors import EmptyCorpus, KTooLarge
 
 BOS = "<s>"
 EOS = "</s>"
@@ -169,10 +175,5 @@ def select_lowest_perplexity(
 
 def write_selection_report(scores: Sequence[float], path: str | Path) -> None:
     """TSV of (pool_index, perplexity) with 9 significant digits."""
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("pool_index\tperplexity\n")
-            for i, s in enumerate(scores):
-                fh.write(f"{i}\t{s:.9g}\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    rows = (f"{i}\t{s:.9g}\n" for i, s in enumerate(scores))
+    write_lines_atomic(path, chain(["pool_index\tperplexity\n"], rows))

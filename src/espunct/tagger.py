@@ -26,10 +26,9 @@ from functools import partial
 from pathlib import Path
 from typing import Callable, Protocol, Sequence
 
-from .corpus import LabeledUtterance, PunctClass
+from .corpus import LabeledUtterance, PunctClass, write_lines_atomic
 from .errors import (
     EmptyCorpus,
-    IoFailure,
     LabelSetMismatch,
     MissingEnglishData,
     ModelLoadError,
@@ -298,12 +297,8 @@ class TaggerModel:
         }
 
     def save(self, path: str | Path) -> None:
-        try:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(json.dumps(self.to_json_dict(), ensure_ascii=False, sort_keys=True))
-                fh.write("\n")
-        except OSError as exc:
-            raise IoFailure(f"cannot write {path}: {exc}") from exc
+        text = json.dumps(self.to_json_dict(), ensure_ascii=False, sort_keys=True)
+        write_lines_atomic(path, [text, "\n"])
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "TaggerModel":

@@ -1,6 +1,8 @@
 """Corpus model: normalization, label extraction, rendering, JSONL IO."""
 
+import os
 import random
+import stat
 from pathlib import Path
 
 import pytest
@@ -18,6 +20,7 @@ from espunct.corpus import (
     render,
     terminal_count,
     write_jsonl,
+    write_lines_atomic,
 )
 from espunct.errors import (
     ConflictingMarks,
@@ -189,6 +192,16 @@ def test_labeled_utterance_validation():
     assert len(u) == 1
 
 
+def test_labeled_utterance_rejects_a_bare_string():
+    # A str is a sequence of characters; it used to become one token each.
+    with pytest.raises(ValueError, match="tokens is a string"):
+        LabeledUtterance("hola", ["NONE"] * 4)
+    with pytest.raises(ValueError, match="labels is a string"):
+        LabeledUtterance(("hola",), "NONE")
+    with pytest.raises(TypeError, match="is not a string"):
+        LabeledUtterance(("hola", ["ab"]), ("NONE", "NONE"))
+
+
 def test_raw_utterance_rejects_blank_text():
     with pytest.raises(ValueError):
         RawUtterance("   ")
@@ -255,6 +268,86 @@ def test_jsonl_errors(tmp_path):
         read_jsonl(tmp_path / "missing.jsonl")
     with pytest.raises(IoFailure):
         write_jsonl([], tmp_path / "nosuchdir" / "out.jsonl")
+
+
+def test_failed_write_keeps_the_old_file_and_leaves_nothing_behind(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    old = [lu("hola", "P")]
+    write_jsonl(old, path)
+    before = path.read_bytes()
+
+    def records_then_disk_full():
+        yield lu("bien", "P")
+        yield lu("adiós", "P")
+        raise OSError(28, "No space left on device")
+
+    with pytest.raises(IoFailure, match="No space left"):
+        write_jsonl(records_then_disk_full(), path)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl"]
+
+    def lines_then_bug():
+        yield "a\n"
+        raise ValueError("not a line")
+
+    with pytest.raises(ValueError, match="not a line"):
+        write_lines_atomic(path, lines_then_bug())
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl"]
+
+
+def test_atomic_write_onto_a_directory_fails_cleanly(tmp_path):
+    (tmp_path / "taken").mkdir()
+    with pytest.raises(IoFailure):
+        write_lines_atomic(tmp_path / "taken", ["a\n"])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+
+
+def test_atomic_write_replaces_the_whole_file(tmp_path):
+    path = tmp_path / "out.tsv"
+    write_lines_atomic(path, ["a\n", "b\n", "c\n"])
+    write_lines_atomic(path, ["z\n"])
+    assert path.read_text(encoding="utf-8") == "z\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.tsv"]
+
+
+def test_write_goes_through_a_symlink(tmp_path):
+    real = tmp_path / "real.jsonl"
+    real.write_text("old\n", encoding="utf-8")
+    link = tmp_path / "link.jsonl"
+    link.symlink_to(real)
+    write_lines_atomic(link, ["new\n"])
+    assert link.is_symlink()
+    assert real.read_text(encoding="utf-8") == "new\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.jsonl", "real.jsonl"]
+
+
+def test_write_to_a_fifo_keeps_the_fifo(tmp_path):
+    fifo = tmp_path / "out"
+    os.mkfifo(fifo)
+    # A non-blocking reader lets the writer open the FIFO without a thread.
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        write_lines_atomic(fifo, ["a\n", "b\n"])
+        assert os.read(reader, 100) == b"a\nb\n"
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+
+
+def test_write_in_place_when_the_directory_is_read_only(tmp_path, monkeypatch):
+    path = tmp_path / "out.tsv"
+    path.write_text("old\n", encoding="utf-8")
+    inode = path.stat().st_ino
+    write_lines_atomic(path, ["renamed\n"])
+    assert path.stat().st_ino != inode
+
+    inode = path.stat().st_ino
+    monkeypatch.setattr("espunct.corpus.os.access", lambda *args: False)
+    write_lines_atomic(path, ["in place\n"])
+    assert path.stat().st_ino == inode
+    assert path.read_text(encoding="utf-8") == "in place\n"
 
 
 def test_terminal_count():
