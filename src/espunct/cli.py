@@ -70,7 +70,13 @@ def _seed_override(default: int | None = None) -> int | None:
 
 
 def _text_lines(p: Path) -> list[tuple[int, str]]:
-    """The non-blank lines of a plain-text file with their 1-based numbers."""
+    """The non-blank lines of a plain-text file with their 1-based numbers.
+
+    Lines end at "\n" only, and one "\r" before it is dropped.  Other
+    Unicode line breaks (U+2028, U+0085, U+001C-U+001E) stay inside the
+    line as whitespace between tokens, so line numbers agree with the
+    count of "\n" that names a non-UTF-8 line.
+    """
     try:
         data = p.read_bytes()
     except OSError as exc:
@@ -79,7 +85,11 @@ def _text_lines(p: Path) -> list[tuple[int, str]]:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise MalformedRecord(data.count(b"\n", 0, exc.start) + 1, "not UTF-8 text") from None
-    return [(n, line) for n, line in enumerate(text.splitlines(), start=1) if line.strip()]
+    return [
+        (n, line.removesuffix("\r"))
+        for n, line in enumerate(text.split("\n"), start=1)
+        if line.strip()
+    ]
 
 
 def _read_corpus(path: str) -> list[Utterance]:

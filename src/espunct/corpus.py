@@ -228,7 +228,8 @@ Utterance = Union[RawUtterance, LabeledUtterance]
 # An apostrophe between letters is a contraction, not a quote; protect
 # it before quote deletion and restore it (canonicalized to ') after.
 _CONTRACTION_RE = re.compile("(?<=[^\\W\\d_])['\u2019](?=[^\\W\\d_])")
-_QUOTE_RE = re.compile("[\"'\u00ab\u00bb\u201c\u201d\u2018\u2019]")
+_QUOTES = "\"'\u00ab\u00bb\u201c\u201d\u2018\u2019"
+_QUOTE_RE = re.compile(f"[{_QUOTES}]")
 _ELLIPSIS_RE = re.compile("(?:\u2026|\\.{3,})+")
 _COLON_SEMI_RE = re.compile("[:;]")
 # Private-use sentinels mark punctuation this pass inserted, so a run of
@@ -239,6 +240,10 @@ _INS_COMMA = "\ue001"
 _INS_APOSTROPHE = "\ue002"
 _PERIOD_RUN_RE = re.compile("\\.*\ue000[.\ue000]*")
 _COMMA_RUN_RE = re.compile(",*\ue001[,\ue001]*")
+# Text with none of these characters and no "..." matches no pattern
+# above, so normalization returns it as is.  The sentinels are in the set
+# because text that already holds one is rewritten by the passes above.
+_TRIGGER_RE = re.compile(f"[{_QUOTES}\u2026:;\ue000-\ue002]")
 
 
 def normalize_punctuation(text: str) -> str:
@@ -249,6 +254,8 @@ def normalize_punctuation(text: str) -> str:
     one-char form) become periods.  Idempotent: a second pass returns
     its input unchanged.
     """
+    if "..." not in text and _TRIGGER_RE.search(text) is None:
+        return text
     text = _CONTRACTION_RE.sub(_INS_APOSTROPHE, text)
     text = _QUOTE_RE.sub("", text)
     text = _ELLIPSIS_RE.sub(_INS_PERIOD, text)

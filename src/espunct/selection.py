@@ -40,11 +40,7 @@ def lm_tokenize(text: str) -> list[str]:
     """
     out = []
     for tok in normalize_punctuation(text).split():
-        tok = tok.lower()
-        while tok and tok[0] in SUPPORTED_MARKS:
-            tok = tok[1:]
-        while tok and tok[-1] in SUPPORTED_MARKS:
-            tok = tok[:-1]
+        tok = tok.lower().strip(SUPPORTED_MARKS)
         if tok:
             out.append(tok)
     return out
@@ -92,12 +88,22 @@ class NGramModel:
     def log_likelihood(self, text: str) -> tuple[float, int]:
         """Sum of log P over the token stream plus end-of-utterance, and
         the number of scored events."""
+        return self._log_likelihood(text, {})
+
+    def _log_likelihood(
+        self, text: str, memo: dict[tuple[str, ...], float]
+    ) -> tuple[float, int]:
+        """log_likelihood with log P cached in memo by n-gram window
+        (context plus token); the sum runs in stream order either way."""
         tokens = [self._map(t) for t in lm_tokenize(text)]
         seq = [BOS] * (self.order - 1) + tokens + [EOS]
         total = 0.0
         for i in range(self.order - 1, len(seq)):
-            context = tuple(seq[i - self.order + 1 : i])
-            total += math.log(self._prob(seq[i], context))
+            window = tuple(seq[i - self.order + 1 : i + 1])
+            logp = memo.get(window)
+            if logp is None:
+                logp = memo[window] = math.log(self._prob(window[-1], window[:-1]))
+            total += logp
         return total, len(tokens) + 1
 
 
@@ -140,13 +146,24 @@ def train_ngram(corpus: Sequence[RawUtterance], order: int = 4) -> NGramModel:
 
 def perplexity(model: NGramModel, utterance: RawUtterance) -> float:
     """exp of the mean negative log probability per scored event."""
-    total, events = model.log_likelihood(utterance.text)
+    return _perplexity(model, utterance, {})
+
+
+def _perplexity(
+    model: NGramModel, utterance: RawUtterance, memo: dict[tuple[str, ...], float]
+) -> float:
+    total, events = model._log_likelihood(utterance.text, memo)
     return math.exp(-total / events)
 
 
 def score_pool(model: NGramModel, pool: Sequence[RawUtterance]) -> list[float]:
-    """Perplexity of every pool utterance, in pool order."""
-    return [perplexity(model, u) for u in pool]
+    """Perplexity of every pool utterance, in pool order.
+
+    log P is computed once per distinct n-gram window in the pool; the
+    cache lives for this call only, so it never outlives the model's use.
+    """
+    memo: dict[tuple[str, ...], float] = {}
+    return [_perplexity(model, u, memo) for u in pool]
 
 
 def select_lowest_perplexity(

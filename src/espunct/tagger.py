@@ -124,12 +124,6 @@ def _feature_list(
     return feats
 
 
-def featurize(tokens: Sequence[str], i: int, prev_label: str) -> set[str]:
-    """Feature set for position i given the previously predicted label."""
-    lowered = [t.lower() for t in tokens]
-    return set(_feature_list(tokens, i, prev_label, lowered))
-
-
 class _TokenFeatures:
     """Feature strings that depend only on one token type.
 

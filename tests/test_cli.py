@@ -53,6 +53,17 @@ def test_extract_labels_lines(tmp_path, text_file):
     assert records[1].labels == labels("OQ CQ")
 
 
+def test_text_lines_split_on_newline_only(tmp_path):
+    # U+2028 and U+0085 are whitespace inside a line, not line breaks.
+    path = tmp_path / "breaks.txt"
+    path.write_text("hola\u2028que tal.\r\n\u00abvale\u00bb \u0085 bien.\n\n", encoding="utf-8")
+    out = tmp_path / "labeled.jsonl"
+    assert main(["extract", "--in", str(path), "--out", str(out)]) == 0
+    records = read_jsonl(out)
+    assert [r.tokens for r in records] == [("hola", "que", "tal"), ("vale", "bien")]
+    assert [r.labels for r in records] == [labels("N N P"), labels("N P")]
+
+
 def test_select_keeps_low_perplexity_and_reports(tmp_path):
     model_corpus = tmp_path / "model.txt"
     model_corpus.write_text(
@@ -301,13 +312,15 @@ def test_non_utf8_input_is_a_typed_error(tmp_path, capsys, argv, name, content, 
     "command, name, content, expected",
     [
         ("extract", "blank.txt", "\nvale.\n\n\u00ab\u00bb\n", "line 4: text has no tokens"),
+        ("extract", "breaks.txt", "hola\u2028que tal.\n\u00abvale\u00bb \u0085 bien.\n\n\u00ab\u00bb\n",
+         "line 4: text has no tokens"),
         ("extract", "mixed.jsonl",
          '{"text": "vale."}\n{"text": "ya."}\n{"tokens": ["ya"], "labels": ["PERIOD"]}\n',
          "line 3: file mixes raw and labeled records"),
         ("normalize", "labeled.jsonl", '{"tokens": ["ya"], "labels": ["PERIOD"]}\n',
          "line 1: normalize expects raw text records"),
     ],
-    ids=["blank-lines-counted", "mixed-kinds", "normalize-labeled"],
+    ids=["blank-lines-counted", "unicode-breaks-inside-lines", "mixed-kinds", "normalize-labeled"],
 )
 def test_data_errors_name_the_file_line(tmp_path, capsys, command, name, content, expected):
     path = tmp_path / name

@@ -1,9 +1,11 @@
-"""Property tests for the corpus record validator and the JSONL codec.
+"""Property tests for the corpus record validator, the JSONL codec and
+punctuation normalization.
 
 The validator checks all tokens at once and walks them one by one only
 on failure; these tests hold it to the plain per-token loop below.  The
 codec reuses one encoder and table lookups; these tests hold it to
-per-record json.dumps.
+per-record json.dumps.  Normalization returns text that no rewrite can
+touch as it is; these tests hold it to the full regex chain.
 """
 
 import json
@@ -11,12 +13,14 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from espunct import corpus
 from espunct.corpus import (
     REJECTED_BOUNDARY,
     SUPPORTED_MARKS,
     LabeledUtterance,
     PunctClass,
     RawUtterance,
+    normalize_punctuation,
     read_jsonl,
     write_jsonl,
 )
@@ -148,3 +152,25 @@ def test_unknown_label_message_is_unchanged(tmp_path):
     with pytest.raises(MalformedRecord) as err:
         read_jsonl(path)
     assert str(err.value) == "line 1: 'NOPE' is not a valid PunctClass"
+
+
+def full_normalization_chain(text):
+    """Every normalization pass, run whether or not it can match."""
+    text = corpus._CONTRACTION_RE.sub(corpus._INS_APOSTROPHE, text)
+    text = corpus._QUOTE_RE.sub("", text)
+    text = corpus._ELLIPSIS_RE.sub(corpus._INS_PERIOD, text)
+    text = corpus._COLON_SEMI_RE.sub(corpus._INS_COMMA, text)
+    text = corpus._PERIOD_RUN_RE.sub(".", text)
+    text = corpus._COMMA_RUN_RE.sub(",", text)
+    return text.replace(corpus._INS_APOSTROPHE, "'")
+
+
+_TRIGGERS = list("\"'\u00ab\u00bb\u201c\u201d\u2018\u2019\u2026:;")
+_SENTINELS = ["\ue000", "\ue001", "\ue002"]
+_PIECES = _TRIGGERS + _SENTINELS + [".", "..", "...", "....", ",", ",,"] + list("añZ ") + ["\u2028"]
+
+
+@SETTINGS
+@given(st.lists(st.sampled_from(_PIECES), max_size=8).map("".join))
+def test_normalize_matches_full_regex_chain(text):
+    assert normalize_punctuation(text) == full_normalization_chain(text)

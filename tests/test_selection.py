@@ -6,9 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from espunct.corpus import RawUtterance
+from espunct.corpus import RawUtterance, render
 from espunct.errors import EmptyCorpus, KTooLarge
 from espunct.selection import (
+    BOS,
     lm_tokenize,
     perplexity,
     score_pool,
@@ -16,6 +17,7 @@ from espunct.selection import (
     train_ngram,
     write_selection_report,
 )
+from espunct.synthetic import rule_corpus
 
 from helpers import EOS, RefWittenBell, UNK
 
@@ -144,6 +146,40 @@ def test_perplexity_matches_reference():
         assert perplexity(model, RawUtterance(text)) == pytest.approx(
             ref.perplexity(text), rel=1e-9
         )
+
+
+def _uncached_perplexity(model, text):
+    """Perplexity as a plain loop over model.prob, one call per event."""
+    tokens = lm_tokenize(text)
+    history = [BOS] * (model.order - 1)
+    total = 0.0
+    for tok in tokens + [EOS]:
+        total += math.log(model.prob(tok, history))
+        history.append(tok)
+    return math.exp(-total / (len(tokens) + 1))
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_score_pool_is_bit_identical_to_per_utterance_scoring(order):
+    # score_pool caches log P across the pool; repeated contexts, unknown
+    # words and punctuation-only lines must still score exactly as alone.
+    model, _ = ref_and_model(order)
+    texts = [
+        "el gato duerme",
+        "el gato corre",
+        "el perro duerme el gato",
+        "¿El gato? ¡El perro!",
+        "palabras nuevas aquí el gato",
+        "nuevas palabras el gato duerme",
+        "¿?",
+        "...",
+        "el gato duerme",
+        "raro raro raro",
+    ] + [render(u) for u in rule_corpus(60, seed=3)]
+    pool = [RawUtterance(t) for t in texts]
+    scores = score_pool(model, pool)
+    assert scores == [perplexity(model, u) for u in pool]
+    assert scores == [_uncached_perplexity(model, t) for t in texts]
 
 
 def test_select_brute_force_every_k():

@@ -25,7 +25,6 @@ from espunct.tagger import (
     _feature_list,
     _static_features,
     continue_train,
-    featurize,
     oversample,
     run_strategy,
     train,
@@ -38,7 +37,8 @@ from helpers import BAD_MODEL_CHANGES, count_trains, labels, lu
 
 
 def test_featurize_mid_token_with_number():
-    feats = featurize(["Hola", "3,5", "qué"], 1, "COMMA")
+    tokens = ["Hola", "3,5", "qué"]
+    feats = set(_feature_list(tokens, 1, "COMMA", [t.lower() for t in tokens]))
     assert feats == {
         "w-2=<s>",
         "w-1=hola",
@@ -59,7 +59,7 @@ def test_featurize_mid_token_with_number():
 
 
 def test_featurize_single_token():
-    feats = featurize(["Ok"], 0, "<start>")
+    feats = set(_feature_list(["Ok"], 0, "<start>", ["ok"]))
     assert feats == {
         "w-2=<s>",
         "w-1=<s>",
@@ -80,7 +80,7 @@ def test_featurize_single_token():
 
 
 def test_featurize_short_word_skips_long_affixes():
-    feats = featurize(["y", "a"], 0, "<start>")
+    feats = set(_feature_list(["y", "a"], 0, "<start>", ["y", "a"]))
     assert "pre1=y" in feats
     assert not any(f.startswith(("pre2", "pre3", "suf2", "suf3")) for f in feats)
 
@@ -90,7 +90,7 @@ def test_feature_count_stays_bounded():
     for _ in range(500):
         u = random_labeled_utterance(rng)
         i = rng.randrange(len(u.tokens))
-        feats = featurize(u.tokens, i, "NONE")
+        feats = set(_feature_list(u.tokens, i, "NONE", [t.lower() for t in u.tokens]))
         assert len(feats) <= 20
 
 
@@ -205,8 +205,9 @@ def _naive_train(corpus, config, label_set=DEFAULT_LABEL_SET):
             u = corpus[ci]
             ticks += 1
             prev = "<start>"
+            lowered = [t.lower() for t in u.tokens]
             for i in range(len(u.tokens)):
-                feats = sorted(featurize(u.tokens, i, prev))
+                feats = sorted(set(_feature_list(u.tokens, i, prev, lowered)))
                 scores = [0.0] * nlabels
                 for f in feats:
                     for li, w in weights.get(f, {}).items():
