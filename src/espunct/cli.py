@@ -149,11 +149,13 @@ def _cmd_select(args) -> int:
     pool = _read_corpus(args.pool)
     model = train_ngram(model_corpus, order=args.order)
     scores = score_pool(model, as_text(pool))
+    # Scores are parallel to pool, so the kept records keep the input's
+    # shape: raw stays raw, labeled stays labeled.  Selecting before any
+    # write means a failed select leaves no artifact behind.
+    kept = select_lowest_perplexity(model, pool, args.k, scores=scores)
     if args.report:
         write_selection_report(scores, args.report)
-    # Scores are parallel to pool, so the kept records keep the input's
-    # shape: raw stays raw, labeled stays labeled.
-    write_jsonl(select_lowest_perplexity(model, pool, args.k, scores=scores), args.out)
+    write_jsonl(kept, args.out)
     return 0
 
 
@@ -214,9 +216,18 @@ def _cmd_serve(args) -> int:
     model = TaggerModel.load(args.model)
     if args.listen:
         host, _, port_text = args.listen.rpartition(":")
-        if not host or not port_text.isdigit():
-            raise ConfigError(f"--listen wants HOST:PORT, got {args.listen!r}")
-        server = serve_tcp(model, host, int(port_text))
+        try:
+            port = int(port_text)
+            if not host or not 0 <= port <= 65535:
+                raise ValueError
+        except ValueError:
+            raise ConfigError(
+                f"--listen wants HOST:PORT with PORT 0-65535, got {args.listen!r}"
+            ) from None
+        try:
+            server = serve_tcp(model, host, port)
+        except (OSError, OverflowError) as exc:
+            raise ConfigError(f"cannot listen on {args.listen}: {exc}") from None
         host, port = server.server_address[:2]
         print(f"listening on {host}:{port}", file=sys.stderr, flush=True)
         try:

@@ -9,14 +9,7 @@ token.
 
 from __future__ import annotations
 
-from .corpus import (
-    CLOSER_FOR,
-    FULL_FOR,
-    LabeledUtterance,
-    OPENER_FOR,
-    PunctClass,
-    chunk_start,
-)
+from .corpus import FULL_FOR, OPENER_FOR, LabeledUtterance, chunk_start
 from .errors import AlreadySpanishConvention
 
 

@@ -55,10 +55,6 @@ class AlreadySpanishConvention(PunctError):
     """Labels already contain opening or full marks."""
 
 
-class LabelSetMismatch(PunctError):
-    """A model cannot continue training on labels outside its label set."""
-
-
 class MissingEnglishData(PunctError):
     """The chosen training strategy needs English data but none was given."""
 
@@ -69,10 +65,6 @@ class TargetTooSmall(PunctError):
 
 class BadFractions(PunctError):
     """Split fractions are negative or do not sum to one."""
-
-
-class UnknownClass(PunctError):
-    """A requested label name is not part of the label set."""
 
 
 class MalformedRequest(PunctError):

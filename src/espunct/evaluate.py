@@ -14,12 +14,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .corpus import CLASS_ORDER, LabeledUtterance, PunctClass, write_lines_atomic
-from .errors import (
-    BadFractions,
-    EmptyTestSet,
-    PredictionLengthMismatch,
-    UnknownClass,
-)
+from .errors import BadFractions, EmptyTestSet, PredictionLengthMismatch
 from .postprocess import repair_pairing
 
 _FRACTION_TOLERANCE = 1e-9
@@ -212,31 +207,3 @@ def evaluate(
         repaired=apply_repair,
         training_log=list(getattr(model, "training_log", [])),
     )
-
-
-def _as_classes(classes: Sequence[PunctClass | str]) -> list[PunctClass]:
-    try:
-        return [PunctClass(c) for c in classes]
-    except ValueError as exc:
-        raise UnknownClass(str(exc)) from exc
-
-
-def confusion_slice(
-    report: EvalReport, classes: Sequence[PunctClass | str]
-) -> list[list[int]]:
-    """Sub-matrix of the confusion matrix restricted to chosen classes."""
-    wanted = _as_classes(classes)
-    index = {c: i for i, c in enumerate(CLASS_ORDER)}
-    return [[report.confusion[index[g]][index[p]] for p in wanted] for g in wanted]
-
-
-def format_confusion(report: EvalReport, classes: Sequence[PunctClass | str]) -> str:
-    """Readable gold-by-predicted table for the chosen classes."""
-    grid = confusion_slice(report, classes)
-    names = [c.name for c in _as_classes(classes)]
-    width = max(max(len(n) for n in names), 6)
-    header = " " * width + "".join(f"  {n:>{width}}" for n in names)
-    lines = [header]
-    for name, row in zip(names, grid):
-        lines.append(f"{name:<{width}}" + "".join(f"  {v:>{width}d}" for v in row))
-    return "\n".join(lines)

@@ -13,6 +13,10 @@ cache, and `prev=` is spliced in between at each position.
 hold the fast path to it.  `PerceptronBackend` memoizes fresh training
 phases, so a grid that trains the same Spanish phase for two strategies
 trains it once.
+
+The label inventory is fixed: a label's index is its position in
+`corpus.CLASS_ORDER`, and every model file lists those nine names in
+that order (`DEFAULT_LABEL_SET`).
 """
 
 from __future__ import annotations
@@ -26,18 +30,12 @@ from functools import partial
 from pathlib import Path
 from typing import Callable, Protocol, Sequence
 
-from .corpus import LabeledUtterance, PunctClass, write_lines_atomic
-from .errors import (
-    EmptyCorpus,
-    LabelSetMismatch,
-    MissingEnglishData,
-    ModelLoadError,
-    TargetTooSmall,
-)
+from .corpus import CLASS_ORDER, LabeledUtterance, PunctClass, write_lines_atomic
+from .errors import EmptyCorpus, MissingEnglishData, ModelLoadError, TargetTooSmall
 
 MODEL_FORMAT_VERSION = 1
 
-DEFAULT_LABEL_SET: tuple[str, ...] = tuple(c.name for c in PunctClass)
+DEFAULT_LABEL_SET: tuple[str, ...] = tuple(c.name for c in CLASS_ORDER)
 
 FEATURE_TEMPLATES: tuple[str, ...] = (
     "w-2",
@@ -62,6 +60,14 @@ FEATURE_TEMPLATES: tuple[str, ...] = (
 _BOS_WORD = "<s>"
 _EOS_WORD = "</s>"
 _BOS_LABEL = "<start>"
+
+# Label index by member.  A member hashes and compares as its value
+# string, which is its name, so a name read from a model file finds its
+# index too.
+_LABEL_INDEX = {label: li for li, label in enumerate(CLASS_ORDER)}
+# The prev= feature a decoded label index feeds to the next position.
+_PREV_FEATS = tuple(("prev=" + name,) for name in DEFAULT_LABEL_SET)
+_ZERO_SCORES = [0.0] * len(CLASS_ORDER)
 
 
 def _word_shape(token: str) -> str:
@@ -191,7 +197,6 @@ def _static_features(
 def _decode(
     weights: dict[str, dict[int, float]],
     static: _Static,
-    label_set: Sequence[str],
     gold: Sequence[int] | None = None,
     on_mistake: Callable[[tuple[str, ...], int, int], None] | None = None,
 ) -> list[int]:
@@ -203,13 +208,11 @@ def _decode(
     decoding continues from the guess, so training sees its own history.
     """
     get = weights.get
-    prev_feats = [("prev=" + name,) for name in label_set]
     prev = ("prev=" + _BOS_LABEL,)
-    zeros = [0.0] * len(label_set)
     out = []
     for i, (head, tail) in enumerate(static):
         feats = head + prev + tail
-        scores = zeros[:]
+        scores = _ZERO_SCORES[:]
         for f in feats:
             row = get(f)
             if row:
@@ -219,7 +222,7 @@ def _decode(
         best = scores.index(max(scores))
         if gold is not None and best != gold[i]:
             on_mistake(feats, gold[i], best)
-        prev = prev_feats[best]
+        prev = _PREV_FEATS[best]
         out.append(best)
     return out
 
@@ -235,18 +238,6 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
 
 
-def _checked_label_set(raw: object) -> tuple[str, ...]:
-    """A loaded label set: non-empty, no repeats, PunctClass names only."""
-    if not isinstance(raw, list) or not raw:
-        raise ModelLoadError("label_set must be a non-empty list")
-    for name in raw:
-        if not isinstance(name, str) or name not in PunctClass.__members__:
-            raise ModelLoadError(f"label_set names an unknown label {name!r}")
-    if len(set(raw)) != len(raw):
-        raise ModelLoadError("label_set repeats a label")
-    return tuple(raw)
-
-
 def _checked_weight(feature: str, raw: object) -> float:
     value = float(raw)
     if not math.isfinite(value):
@@ -256,15 +247,14 @@ def _checked_weight(feature: str, raw: object) -> float:
 
 @dataclass
 class TaggerModel:
-    """Trained tagger: label inventory and sparse weights.
+    """Trained tagger: sparse weights and the phases that made them.
 
     weights maps feature string -> {label index -> weight}; indices point
-    into label_set.  Files always carry FEATURE_TEMPLATES and
-    MODEL_FORMAT_VERSION, and load refuses any others.  training_log
-    records each training phase in order.
+    into CLASS_ORDER.  Files always carry DEFAULT_LABEL_SET,
+    FEATURE_TEMPLATES and MODEL_FORMAT_VERSION, and load refuses any
+    others.  training_log records each training phase in order.
     """
 
-    label_set: tuple[str, ...] = DEFAULT_LABEL_SET
     weights: dict[str, dict[int, float]] = field(default_factory=dict)
     training_log: list[dict] = field(default_factory=list)
 
@@ -273,18 +263,15 @@ class TaggerModel:
         if not tokens:
             raise ValueError("cannot predict on an empty token list")
         static = _static_features(tokens, {})
-        return [
-            PunctClass[self.label_set[li]]
-            for li in _decode(self.weights, static, self.label_set)
-        ]
+        return [CLASS_ORDER[li] for li in _decode(self.weights, static)]
 
     def to_json_dict(self) -> dict:
         return {
             "format_version": MODEL_FORMAT_VERSION,
-            "label_set": list(self.label_set),
+            "label_set": list(DEFAULT_LABEL_SET),
             "feature_templates": list(FEATURE_TEMPLATES),
             "weights": {
-                f: {self.label_set[li]: w for li, w in sorted(row.items())}
+                f: {DEFAULT_LABEL_SET[li]: w for li, w in sorted(row.items())}
                 for f, row in self.weights.items()
             },
             "training_log": self.training_log,
@@ -306,8 +293,10 @@ class TaggerModel:
         try:
             if obj["feature_templates"] != list(FEATURE_TEMPLATES):
                 raise ModelLoadError("model file lists other feature templates")
-            label_set = _checked_label_set(obj["label_set"])
-            index = {name: li for li, name in enumerate(label_set)}
+            if obj["label_set"] != list(DEFAULT_LABEL_SET):
+                raise ModelLoadError(
+                    "model file lists another label set (want the nine classes in order)"
+                )
             raw_weights = obj["weights"]
             if not isinstance(raw_weights, dict):
                 raise ModelLoadError("model weights are not a JSON object")
@@ -315,12 +304,10 @@ class TaggerModel:
             for f, row in raw_weights.items():
                 if not isinstance(row, dict):
                     raise ModelLoadError(f"weights for {f!r} are not a JSON object")
-                weights[f] = {index[name]: _checked_weight(f, w) for name, w in row.items()}
-            return cls(
-                label_set=label_set,
-                weights=weights,
-                training_log=list(obj["training_log"]),
-            )
+                weights[f] = {
+                    _LABEL_INDEX[name]: _checked_weight(f, w) for name, w in row.items()
+                }
+            return cls(weights=weights, training_log=list(obj["training_log"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise ModelLoadError(f"model file is malformed: {exc}") from exc
 
@@ -399,11 +386,9 @@ class _Averager:
 def _run_phase(
     initial: dict[str, dict[int, float]],
     corpus: Sequence[LabeledUtterance],
-    label_set: Sequence[str],
     config: TrainConfig,
 ) -> dict[str, dict[int, float]]:
     """One training phase; returns averaged weights."""
-    index = {name: li for li, name in enumerate(label_set)}
     avg = _Averager(_copy_weights(initial))
     rng = random.Random(config.seed)
     order = list(range(len(corpus)))
@@ -418,21 +403,10 @@ def _run_phase(
             _decode(
                 avg.weights,
                 _static_features(u.tokens, cache),
-                label_set,
-                gold=[index[lab.name] for lab in u.labels],
+                gold=[_LABEL_INDEX[lab] for lab in u.labels],
                 on_mistake=partial(avg.mistake, tick=tick),
             )
     return avg.averaged(tick)
-
-
-def _check_labels(corpus: Sequence[LabeledUtterance], label_set: Sequence[str]) -> None:
-    known = set(label_set)
-    for u in corpus:
-        for lab in u.labels:
-            if lab.name not in known:
-                raise LabelSetMismatch(
-                    f"label {lab.name} is outside the model label set"
-                )
 
 
 def _log_entry(data_tag: str, config: TrainConfig, corpus: Sequence) -> dict:
@@ -453,7 +427,7 @@ def train(
     """Train a fresh model from zero weights."""
     if not corpus:
         raise EmptyCorpus("cannot train on no utterances")
-    weights = _run_phase({}, corpus, DEFAULT_LABEL_SET, config)
+    weights = _run_phase({}, corpus, config)
     return TaggerModel(weights=weights, training_log=[_log_entry(data_tag, config, corpus)])
 
 
@@ -470,10 +444,8 @@ def continue_train(
     """
     if not corpus:
         raise EmptyCorpus("cannot continue training on no utterances")
-    _check_labels(corpus, model.label_set)
-    weights = _run_phase(model.weights, corpus, model.label_set, config)
+    weights = _run_phase(model.weights, corpus, config)
     return TaggerModel(
-        label_set=model.label_set,
         weights=weights,
         training_log=model.training_log + [_log_entry(data_tag, config, corpus)],
     )

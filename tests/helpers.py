@@ -47,6 +47,8 @@ BAD_MODEL_CHANGES = {
     "empty-label-set": {"label_set": []},
     "repeated-label": {"label_set": ["NONE", "PERIOD", "NONE"]},
     "unknown-label": {"label_set": ["NONE", "SEMICOLON"]},
+    "label-subset": {"label_set": ["NONE", "PERIOD"]},
+    "reordered-labels": {"label_set": list(reversed(tagger.DEFAULT_LABEL_SET))},
     "other-feature-templates": {"feature_templates": ["w0", "w-1"]},
 }
 

@@ -2,6 +2,7 @@
 
 import io
 import json
+import socket
 import sys
 
 import pytest
@@ -105,6 +106,22 @@ def test_select_keeps_labeled_pool_records(tmp_path):
     ])
     assert code == 0
     assert read_jsonl(out) == [pool_records[0], pool_records[2]]
+
+
+def test_failed_select_writes_nothing(tmp_path, capsys):
+    model_corpus = tmp_path / "model.txt"
+    model_corpus.write_text("quiero una cita hoy.\n", encoding="utf-8")
+    pool = tmp_path / "pool.txt"
+    pool.write_text("quiero una cita ya.\nvale.\n", encoding="utf-8")
+    out, report = tmp_path / "kept.jsonl", tmp_path / "rep.tsv"
+    code = main([
+        "select", "--model-corpus", str(model_corpus), "--pool", str(pool),
+        "--k", "5", "--out", str(out), "--report", str(report),
+    ])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not report.exists()
+    assert not out.exists()
 
 
 def test_augment_matches_target_and_reports(tmp_path):
@@ -256,6 +273,29 @@ def test_exit_codes(tmp_path, trained, monkeypatch):
     empty = tmp_path / "quotes.txt"
     empty.write_text("vale.\n\u00ab\u00bb\n", encoding="utf-8")
     assert main(["extract", "--in", str(empty), "--out", str(tmp_path / "o")]) == 3
+
+
+def _serve_listen_fails(model, address, capsys):
+    """serve --listen address exits 2 with one error line and no traceback."""
+    assert main(["serve", "--model", str(model), "--listen", address]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize(
+    "address", ["127.0.0.1:70000", "127.0.0.1:\u00b2", "127.0.0.1:-1"],
+    ids=["port-out-of-range", "non-ascii-digit", "negative-port"],
+)
+def test_serve_rejects_bad_listen_address(trained, capsys, address):
+    _serve_listen_fails(trained[1], address, capsys)
+
+
+def test_serve_on_a_port_in_use_is_a_config_error(trained, capsys):
+    with socket.socket() as held:
+        held.bind(("127.0.0.1", 0))
+        held.listen(1)
+        port = held.getsockname()[1]
+        _serve_listen_fails(trained[1], f"127.0.0.1:{port}", capsys)
 
 
 @pytest.mark.parametrize(

@@ -1,20 +1,10 @@
-"""Corpus splits, scoring reports, and confusion analysis."""
+"""Corpus splits, scoring reports, and the confusion matrix."""
 
 import pytest
 
 from espunct.corpus import CLASS_ORDER, PunctClass
-from espunct.errors import (
-    BadFractions,
-    EmptyTestSet,
-    PredictionLengthMismatch,
-    UnknownClass,
-)
-from espunct.evaluate import (
-    confusion_slice,
-    evaluate,
-    format_confusion,
-    split_corpus,
-)
+from espunct.errors import BadFractions, EmptyTestSet, PredictionLengthMismatch
+from espunct.evaluate import evaluate, split_corpus
 from espunct.synthetic import rule_corpus
 
 from helpers import labels, lu
@@ -120,9 +110,11 @@ def test_per_class_scores_hand_case():
 
 def test_confusion_hand_case():
     report = _hand_report()
-    cell = confusion_slice(report, [PunctClass.CLOSE_QUESTION, PunctClass.PERIOD])
-    assert cell == [[0, 1], [0, 1]]
-    assert confusion_slice(report, ["CLOSE_QUESTION"]) == [[0]]
+    idx = {c: i for i, c in enumerate(CLASS_ORDER)}
+    cq, period = idx[PunctClass.CLOSE_QUESTION], idx[PunctClass.PERIOD]
+    # gold by predicted: the CLOSE_QUESTION became a PERIOD
+    grid = [[report.confusion[g][p] for p in (cq, period)] for g in (cq, period)]
+    assert grid == [[0, 1], [0, 1]]
 
 
 def test_confusion_totals_match_token_count():
@@ -213,12 +205,6 @@ def test_prediction_length_mismatch_is_an_error(extra):
             evaluate(_WrongLengthModel(extra), test, apply_repair=repair)
 
 
-def test_unknown_class_in_slice():
-    report = _hand_report()
-    with pytest.raises(UnknownClass):
-        confusion_slice(report, ["SEMICOLON"])
-
-
 def test_report_serialization_and_tables():
     report = _hand_report()
     obj = report.to_json_dict()
@@ -230,8 +216,3 @@ def test_report_serialization_and_tables():
     table = report.format_table()
     assert "micro-F1 (punctuation): 0.6667" in table
     assert "COMMA" in table
-
-    grid = format_confusion(report, ["CLOSE_QUESTION", "PERIOD"])
-    lines = grid.splitlines()
-    assert "CLOSE_QUESTION" in lines[0]
-    assert len(lines) == 3

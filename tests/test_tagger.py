@@ -9,7 +9,6 @@ from espunct.corpus import LabeledUtterance, PunctClass
 from espunct.errors import (
     EmptyCorpus,
     IoFailure,
-    LabelSetMismatch,
     MissingEnglishData,
     ModelLoadError,
     TargetTooSmall,
@@ -137,7 +136,7 @@ def _reference_predict(model, tokens):
     prev = "<start>"
     out = []
     for i in range(len(tokens)):
-        scores = [0.0] * len(model.label_set)
+        scores = [0.0] * len(DEFAULT_LABEL_SET)
         for f in _feature_list(tokens, i, prev, lowered):
             for li, w in model.weights.get(f, {}).items():
                 scores[li] += w
@@ -145,7 +144,7 @@ def _reference_predict(model, tokens):
         for li in range(1, len(scores)):
             if scores[li] > scores[best]:
                 best = li
-        prev = model.label_set[best]
+        prev = DEFAULT_LABEL_SET[best]
         out.append(PunctClass[prev])
     return out
 
@@ -187,12 +186,12 @@ def test_forced_weights_drive_prediction():
 # ------------------------------------------------------- averaging oracle
 
 
-def _naive_train(corpus, config, label_set=DEFAULT_LABEL_SET):
+def _naive_train(corpus, config):
     """Reference trainer that materializes a weight snapshot after every
     utterance and averages them directly.  All training weights are
     integer-valued, so float equality with the lazy version is exact."""
-    index = {name: li for li, name in enumerate(label_set)}
-    nlabels = len(label_set)
+    index = {name: li for li, name in enumerate(DEFAULT_LABEL_SET)}
+    nlabels = len(DEFAULT_LABEL_SET)
     weights = {}
     sums = {}
     rng = random.Random(config.seed)
@@ -222,7 +221,7 @@ def _naive_train(corpus, config, label_set=DEFAULT_LABEL_SET):
                         row = weights.setdefault(f, {})
                         row[gold] = row.get(gold, 0.0) + 1.0
                         row[guess] = row.get(guess, 0.0) - 1.0
-                prev = label_set[guess]
+                prev = DEFAULT_LABEL_SET[guess]
             for f, row in weights.items():
                 srow = sums.setdefault(f, {})
                 for li, w in row.items():
@@ -326,7 +325,6 @@ def test_save_load_round_trip(tmp_path):
     path = tmp_path / "model.json"
     model.save(path)
     back = TaggerModel.load(path)
-    assert back.label_set == model.label_set
     assert back.weights == model.weights
     assert back.training_log == model.training_log
     probe = ["bueno", "quiero", "ayuda"]
@@ -384,13 +382,6 @@ def test_load_rejects_unusable_model(tmp_path, case):
         TaggerModel.load(path)
 
 
-def test_load_accepts_a_label_subset():
-    obj = TaggerModel(label_set=("NONE", "PERIOD")).to_json_dict()
-    obj["weights"] = {"last": {"PERIOD": 2.5}}
-    model = TaggerModel.from_json_dict(obj)
-    assert model.predict(["a", "b"]) == [PunctClass.NONE, PunctClass.PERIOD]
-
-
 # -------------------------------------------------------- continue_train
 # -------------------------------------------------------- continue_train
 
@@ -425,12 +416,6 @@ def test_continue_train_appends_to_log():
         "data": "en", "epochs": 2, "seed": 3, "size": 10,
     }
     assert len(model.training_log) == 1
-
-
-def test_continue_train_checks_label_set():
-    small = TaggerModel(label_set=("NONE", "PERIOD"))
-    with pytest.raises(LabelSetMismatch):
-        continue_train(small, [lu("a b", "N C")])
 
 
 # -------------------------------------------------------------- strategies
