@@ -55,8 +55,8 @@ from .selection import (
     train_ngram,
     write_selection_report,
 )
+from . import tagger
 from .tagger import (
-    PerceptronBackend,
     Strategy,
     TrainConfig,
     oversample,
@@ -331,6 +331,29 @@ def _check_leakage(
             )
 
 
+def _phase_key(row: ExperimentRow) -> tuple:
+    """What a row's first training phase depends on beyond the run's shared
+    TrainConfig and English data; rows with equal keys share that phase."""
+    if row.strategy is Strategy.EN_THEN_ES:
+        return ("en",)
+    return (row.strategy is Strategy.JOINT, row.spanish_sources, row.augment)
+
+
+class _SharedPhase:
+    """run_strategy's backend for one row: the row's first phase is trained
+    at most once per run and kept in `fresh` under the row's phase key."""
+
+    def __init__(self, fresh: dict, key: tuple):
+        self.fresh, self.key = fresh, key
+
+    def train(self, corpus, config, data_tag):
+        if self.key not in self.fresh:
+            self.fresh[self.key] = tagger.train(corpus, config, data_tag)
+        return self.fresh[self.key]
+
+    continue_train = staticmethod(tagger.continue_train)
+
+
 def run_experiment(config: ExperimentConfig) -> list[EvalReport]:
     """Execute every configured row and write all artifacts to disk.
 
@@ -398,34 +421,32 @@ def run_experiment(config: ExperimentConfig) -> list[EvalReport]:
 
         reports = []
         comparison_rows = []
-        # One backend per run: rows that share a training phase share it.
-        backend = PerceptronBackend()
-        for row in config.rows:
+        keys = [_phase_key(row) for row in config.rows]
+        fresh: dict[tuple, object] = {}
+        es_lists: dict[tuple, list[LabeledUtterance]] = {}
+        for i, row in enumerate(config.rows):
             stage = f"train:{row.name}"
-            parts = {"indomain": es_train}
-            for name in row.spanish_sources:
-                if name == "indomain":
-                    continue
-                parts[name] = augmented[name] if row.augment else source_data[name]
-            other_max = max(
-                (len(parts[s]) for s in row.spanish_sources if s != "indomain"),
-                default=0,
-            )
-            indomain_part = oversample(
-                es_train, max(len(es_train), other_max), seed=config.train.seed
-            )
-            es_data = list(indomain_part)
-            for name in row.spanish_sources:
-                if name != "indomain":
-                    es_data.extend(parts[name])
+            recipe = (row.spanish_sources, row.augment)
+            es_data = es_lists.get(recipe)
+            if es_data is None:
+                # In-domain oversampled to the largest other source, then the others.
+                sources = augmented if row.augment else source_data
+                others = [sources[s] for s in row.spanish_sources if s != "indomain"]
+                target = max([len(es_train)] + [len(c) for c in others])
+                es_data = oversample(es_train, target, seed=config.train.seed)
+                for corpus in others:
+                    es_data.extend(corpus)
+                _check_leakage(es_data, test_keys, row.name)
+                es_lists[recipe] = es_data
             en_data = en_converted if row.strategy is not Strategy.ES_ONLY else None
-            _check_leakage(es_data, test_keys, row.name)
             if en_data is not None:
                 _check_leakage(en_data, test_keys, row.name)
             write_jsonl(es_data, out_dir / f"train_es_{row.name}.jsonl")
             model = run_strategy(
-                row.strategy, es_data, en_data, config.train, backend=backend
+                row.strategy, es_data, en_data, config.train,
+                backend=_SharedPhase(fresh, keys[i]),
             )
+            fresh = {k: m for k, m in fresh.items() if k in keys[i + 1 :]}
             model.save(out_dir / f"model_{row.name}.json")
 
             stage = f"eval:{row.name}"
@@ -537,7 +558,10 @@ def handle_request_line(model, line: str) -> str:
     request_id = None
     try:
         try:
+            line.encode("utf-8")
             obj = json.loads(line)
+        except UnicodeEncodeError:
+            raise MalformedRequest("request is not valid UTF-8") from None
         except json.JSONDecodeError as exc:
             raise MalformedRequest(f"bad JSON: {exc}") from exc
         if not isinstance(obj, dict):
@@ -578,7 +602,7 @@ def serve_stdio(model, in_stream: TextIO, out_stream: TextIO) -> None:
 class _RequestHandler(socketserver.StreamRequestHandler):
     def handle(self):
         for raw in self.rfile:
-            line = raw.decode("utf-8", errors="replace").strip()
+            line = raw.decode("utf-8", errors="surrogateescape").strip()
             if not line:
                 continue
             response = handle_request_line(self.server.model, line)

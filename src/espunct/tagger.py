@@ -10,9 +10,7 @@ feature depends on the decoded history, so the other sixteen templates
 are built once per utterance (`_static_features`) from a per-token-type
 cache, and `prev=` is spliced in between at each position.
 `_feature_list` remains the readable definition of the templates; tests
-hold the fast path to it.  `PerceptronBackend` memoizes fresh training
-phases, so a grid that trains the same Spanish phase for two strategies
-trains it once.
+hold the fast path to it.
 
 The label inventory is fixed: a label's index is its position in
 `corpus.CLASS_ORDER`, and every model file lists those nine names in
@@ -463,29 +461,6 @@ class TaggerBackend(Protocol):
     ): ...
 
 
-class PerceptronBackend:
-    """The built-in averaged perceptron as a strategy backend.
-
-    Fresh training phases are memoized by (utterance content, config,
-    data tag), so strategies that share a first phase train it once.
-    Models are never mutated after training (continue_train copies), so
-    one instance can be handed to several callers.
-    """
-
-    def __init__(self):
-        self._trained: dict[tuple, TaggerModel] = {}
-
-    def train(self, corpus, config, data_tag):
-        key = (tuple((u.tokens, u.labels) for u in corpus), config, data_tag)
-        model = self._trained.get(key)
-        if model is None:
-            model = self._trained[key] = train(corpus, config, data_tag)
-        return model
-
-    def continue_train(self, model, corpus, config, data_tag):
-        return continue_train(model, corpus, config, data_tag)
-
-
 class Strategy(str, Enum):
     ES_ONLY = "ES_ONLY"
     ES_THEN_EN = "ES_THEN_EN"
@@ -507,22 +482,21 @@ def run_strategy(
     seed, then trained as a single phase.
     """
     strategy = Strategy(strategy)
-    backend = backend if backend is not None else PerceptronBackend()
+    fresh = train if backend is None else backend.train
+    further = continue_train if backend is None else backend.continue_train
     if not es_data:
         raise EmptyCorpus("no Spanish training data")
     if strategy is not Strategy.ES_ONLY and not en_data:
         raise MissingEnglishData(f"strategy {strategy.value} needs English data")
     if strategy is Strategy.ES_ONLY:
-        return backend.train(es_data, config, "es")
+        return fresh(es_data, config, "es")
     if strategy is Strategy.ES_THEN_EN:
-        model = backend.train(es_data, config, "es")
-        return backend.continue_train(model, en_data, config, "en")
+        return further(fresh(es_data, config, "es"), en_data, config, "en")
     if strategy is Strategy.EN_THEN_ES:
-        model = backend.train(en_data, config, "en")
-        return backend.continue_train(model, es_data, config, "es")
+        return further(fresh(en_data, config, "en"), es_data, config, "es")
     mixed = list(es_data) + list(en_data)
     random.Random(config.seed).shuffle(mixed)
-    return backend.train(mixed, config, "joint-es-en")
+    return fresh(mixed, config, "joint-es-en")
 
 
 def oversample(

@@ -5,6 +5,7 @@ import json
 import re
 import socket
 import threading
+import weakref
 
 import pytest
 
@@ -38,7 +39,8 @@ from espunct.pipeline import (
 )
 from espunct.selection import select_lowest_perplexity, train_ngram
 from espunct.synthetic import rule_corpus, transfer_benchmark
-from espunct.tagger import TrainConfig, train
+from espunct import tagger
+from espunct.tagger import Strategy, TrainConfig, continue_train, run_strategy, train
 
 from helpers import count_trains, labels, lu
 
@@ -440,6 +442,122 @@ def test_run_experiment_trains_shared_es_phase_once(data_dir, tmp_path, monkeypa
         {"data": "en", "epochs": 2, "seed": 0, "size": en_size},
     ]
 
+    # The shared phase continues to the same weights as training both phases anew.
+    es = read_jsonl(out / "train_es_es_then_en.jsonl")
+    en = read_jsonl(out / "en_converted.jsonl")
+    config = TrainConfig(epochs=2, seed=0)
+    continue_train(train(es, config, "es"), en, config, "en").save(tmp_path / "ref.json")
+    assert (out / "model_es_then_en.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
+
+
+def _row(name, strategy, sources=("indomain",), augment=False):
+    return {
+        "name": name,
+        "strategy": strategy,
+        "spanish_sources": list(sources),
+        "augment": augment,
+    }
+
+
+_LDC = ("indomain", "ldc")
+
+
+@pytest.mark.parametrize(
+    "strategies, trained",
+    [
+        pytest.param(
+            [_row("a", "ES_ONLY", _LDC, True), _row("b", "ES_THEN_EN", _LDC, True)],
+            ["es"],
+            id="es-phase-shared-on-one-recipe",
+        ),
+        pytest.param(
+            [_row("a", "ES_ONLY"), _row("b", "ES_THEN_EN", _LDC)],
+            ["es", "es"],
+            id="other-sources-train-apart",
+        ),
+        pytest.param(
+            [_row("a", "ES_ONLY", _LDC), _row("b", "ES_THEN_EN", _LDC, True)],
+            ["es", "es"],
+            id="other-augment-trains-apart",
+        ),
+        pytest.param(
+            [_row("a", "EN_THEN_ES"), _row("b", "EN_THEN_ES", _LDC, True)],
+            ["en"],
+            id="en-phase-shared-across-recipes",
+        ),
+        pytest.param(
+            [_row("a", "ES_ONLY"), _row("b", "JOINT"), _row("c", "JOINT")],
+            ["es", "joint-es-en"],
+            id="joint-shared-on-one-recipe",
+        ),
+        pytest.param(
+            [
+                _row("es_only", "ES_ONLY"),
+                _row("joint", "JOINT"),
+                _row("es_then_en", "ES_THEN_EN"),
+                _row("en_then_es", "EN_THEN_ES"),
+                _row("aug_es_only", "ES_ONLY", ("indomain", "ldc", "opensubtitle"), True),
+            ],
+            ["es", "joint-es-en", "en", "es"],
+            id="benchmark-grid-rows",
+        ),
+    ],
+)
+def test_run_experiment_trains_each_planned_phase_once(
+    data_dir, tmp_path, monkeypatch, strategies, trained
+):
+    calls = count_trains(monkeypatch)
+    out = tmp_path / "out"
+    obj = base_config(data_dir, out)
+    obj["strategies"] = strategies
+    obj["train"]["epochs"] = 1
+    cfg = config_from_dict(obj, data_dir)
+    run_experiment(cfg)
+    assert calls == trained
+
+    # One Spanish list per recipe, and no two recipes share one.
+    lists = {}
+    for row in cfg.rows:
+        data = (out / f"train_es_{row.name}.jsonl").read_bytes()
+        assert lists.setdefault((row.spanish_sources, row.augment), data) == data
+    assert len(set(lists.values())) == len(lists)
+
+    # Every row's model is the one its strategy trains alone on the row's data.
+    en = read_jsonl(out / "en_converted.jsonl")
+    for row in cfg.rows:
+        es = read_jsonl(out / f"train_es_{row.name}.jsonl")
+        en_data = None if row.strategy is Strategy.ES_ONLY else en
+        run_strategy(row.strategy, es, en_data, cfg.train).save(tmp_path / "alone.json")
+        assert (out / f"model_{row.name}.json").read_bytes() == (
+            tmp_path / "alone.json"
+        ).read_bytes(), row.name
+
+
+def test_run_experiment_frees_phases_no_later_row_uses(data_dir, tmp_path, monkeypatch):
+    # At each fresh training, the data tags of the earlier fresh models still alive.
+    alive_at_train = []
+    models = []
+    real = tagger.train
+
+    def spy(corpus, config, data_tag):
+        alive_at_train.append([tag for tag, ref in models if ref() is not None])
+        model = real(corpus, config, data_tag)
+        models.append((data_tag, weakref.ref(model)))
+        return model
+
+    monkeypatch.setattr(tagger, "train", spy)
+    obj = base_config(data_dir, tmp_path / "out")
+    obj["strategies"] = [
+        _row("es_only", "ES_ONLY"),
+        _row("joint", "JOINT"),
+        _row("es_then_en", "ES_THEN_EN"),
+        _row("en_then_es", "EN_THEN_ES"),
+    ]
+    obj["train"]["epochs"] = 1
+    run_experiment(config_from_dict(obj, data_dir))
+    # es waits for es_then_en while joint trains; by the last row both are gone
+    assert alive_at_train == [[], ["es"], []]
+
 
 def test_run_experiment_dedups_duplicate_indomain(data_dir, tmp_path):
     corpus = rule_corpus(30, seed=9)
@@ -483,6 +601,42 @@ def test_run_experiment_split_failure_names_stage(tmp_path):
     with pytest.raises(PipelineError) as err:
         run_experiment(config_from_dict(obj, tmp_path))
     assert err.value.stage == "split"
+
+
+@pytest.mark.parametrize(
+    "dataset, strategies, stage",
+    [
+        (
+            "ldc",
+            [_row("plain", "ES_ONLY"), _row("with_ldc", "ES_ONLY", _LDC),
+             _row("again", "ES_THEN_EN", _LDC)],
+            "train:with_ldc",
+        ),
+        (
+            "en_indomain",
+            [_row("plain", "ES_ONLY"), _row("joint", "JOINT"), _row("en_first", "EN_THEN_ES")],
+            "train:joint",
+        ),
+    ],
+)
+def test_run_experiment_refuses_leaked_test_utterances(
+    data_dir, tmp_path, dataset, strategies, stage
+):
+    # Every in-domain statement: conversion keeps them as they are, and some
+    # of them fall into the test split.
+    statements = [
+        u for u in read_jsonl(data_dir / "es.jsonl")
+        if not any(lab.is_opening or lab.is_closing or lab.is_full for lab in u.labels)
+    ]
+    write_jsonl(statements, tmp_path / "leak.jsonl")
+    obj = base_config(data_dir, tmp_path / "out")
+    obj["datasets"][dataset] = str(tmp_path / "leak.jsonl")
+    obj["strategies"] = strategies
+    obj["train"]["epochs"] = 1
+    with pytest.raises(PipelineError) as err:
+        run_experiment(config_from_dict(obj, data_dir))
+    assert err.value.stage == stage
+    assert isinstance(err.value.cause, DataLeakageError)
 
 
 def test_leakage_check_fires_on_shared_content():
@@ -612,6 +766,47 @@ def test_serve_stdio_matches_restore(served_model):
         obj = json.loads(raw)
         assert obj["id"] == f"r{i}"
         assert obj["text"] == restore(served_model, text)[0]
+
+
+_NOT_UTF8 = b'{"id":"a","text":"hola qu\xe9 tal"}\n'
+_GOOD = json.dumps({"id": "b", "text": "bueno quiero una cita"}).encode("utf-8") + b"\n"
+
+
+def _answers_not_utf8_then_serves(first: dict, second: dict):
+    assert first["error"] == "MalformedRequest"
+    assert second["id"] == "b"
+    assert "labels" in second
+
+
+def test_serve_stdio_answers_non_utf8_line(served_model):
+    # stdin and stdout use surrogateescape under the C locale and UTF-8 mode.
+    in_stream = io.TextIOWrapper(
+        io.BytesIO(_NOT_UTF8 + _GOOD), encoding="utf-8", errors="surrogateescape"
+    )
+    out_bytes = io.BytesIO()
+    out_stream = io.TextIOWrapper(out_bytes, encoding="utf-8", errors="surrogateescape")
+    serve_stdio(served_model, in_stream, out_stream)
+    first, second = out_bytes.getvalue().decode("utf-8").splitlines()
+    _answers_not_utf8_then_serves(json.loads(first), json.loads(second))
+
+
+def test_serve_tcp_answers_non_utf8_line(served_model):
+    server = serve_tcp(served_model, "127.0.0.1", 0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        with socket.create_connection(server.server_address, timeout=5) as conn:
+            conn.sendall(_NOT_UTF8 + _GOOD)
+            reader = conn.makefile("rb")
+            first, second = reader.readline(), reader.readline()
+        _answers_not_utf8_then_serves(
+            json.loads(first.decode("utf-8")), json.loads(second.decode("utf-8"))
+        )
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+    assert not thread.is_alive()
 
 
 def test_serve_tcp_round_trip(served_model):

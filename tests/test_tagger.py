@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from espunct.corpus import LabeledUtterance, PunctClass
+from espunct.corpus import PunctClass
 from espunct.errors import (
     EmptyCorpus,
     IoFailure,
@@ -17,7 +17,6 @@ from espunct.synthetic import random_labeled_utterance, rule_corpus, transfer_be
 from espunct.tagger import (
     DEFAULT_LABEL_SET,
     FEATURE_TEMPLATES,
-    PerceptronBackend,
     Strategy,
     TaggerModel,
     TrainConfig,
@@ -486,40 +485,6 @@ def test_joint_mixes_and_shuffles_with_config_seed():
     random.Random(config.seed).shuffle(mixed)
     direct = train(mixed, config, data_tag="joint-es-en")
     assert model.weights == direct.weights
-
-
-def test_backend_memoizes_fresh_phases(monkeypatch):
-    calls = count_trains(monkeypatch)
-    corpus = rule_corpus(30, seed=0)
-    config = TrainConfig(epochs=2, seed=0)
-    backend = PerceptronBackend()
-    first = backend.train(corpus, config, "es")
-    # equal tokens and labels in new objects are the same phase;
-    # provenance tags do not reach training
-    copies = [LabeledUtterance(u.tokens, u.labels, source="copy") for u in corpus]
-    assert backend.train(copies, config, "es") is first
-    assert backend.train(corpus, TrainConfig(epochs=2, seed=1), "es") is not first
-    assert backend.train(corpus, config, "en") is not first
-    assert backend.train(corpus[:-1], config, "es") is not first
-    assert calls == ["es", "es", "en", "es"]
-
-
-def test_es_then_en_reuses_es_only_phase(monkeypatch):
-    calls = count_trains(monkeypatch)
-    es = rule_corpus(40, seed=0)
-    en = rule_corpus(20, seed=1)
-    config = TrainConfig(epochs=2, seed=0)
-    backend = PerceptronBackend()
-    es_only = run_strategy(Strategy.ES_ONLY, es, None, config, backend)
-    before = json.dumps(es_only.to_json_dict(), sort_keys=True)
-    two_phase = run_strategy(Strategy.ES_THEN_EN, es, en, config, backend)
-    assert calls == ["es"]
-    assert json.dumps(es_only.to_json_dict(), sort_keys=True) == before
-    assert two_phase.training_log == es_only.training_log + [
-        {"data": "en", "epochs": 2, "seed": 0, "size": 20}
-    ]
-    fresh = continue_train(train(es, config, "es"), en, config, "en")
-    assert two_phase.weights == fresh.weights
 
 
 def test_run_strategy_without_backend_trains_fresh(monkeypatch):
