@@ -42,12 +42,12 @@ from .errors import (
 )
 from .evaluate import evaluate, write_report_json
 from .pipeline import (
+    PunctServer,
     load_config,
     parse_strategy,
     restore,
     run_experiment,
-    serve_stdio,
-    serve_tcp,
+    serve_lines,
 )
 from .selection import (
     score_pool,
@@ -225,7 +225,7 @@ def _cmd_serve(args) -> int:
                 f"--listen wants HOST:PORT with PORT 0-65535, got {args.listen!r}"
             ) from None
         try:
-            server = serve_tcp(model, host, port)
+            server = PunctServer((host, port), model)
         except (OSError, OverflowError) as exc:
             raise ConfigError(f"cannot listen on {args.listen}: {exc}") from None
         host, port = server.server_address[:2]
@@ -237,7 +237,7 @@ def _cmd_serve(args) -> int:
         finally:
             server.server_close()
         return 0
-    serve_stdio(model, sys.stdin, sys.stdout)
+    serve_lines(model, sys.stdin.buffer, sys.stdout.buffer)
     return 0
 
 

@@ -147,12 +147,6 @@ def evaluate(
     nclasses = len(CLASS_ORDER)
     class_index = {c: i for i, c in enumerate(CLASS_ORDER)}
     confusion = [[0] * nclasses for _ in range(nclasses)]
-    # Micro counts accumulate token by token, independently of the
-    # confusion matrix; tests cross-check the two paths agree.
-    tp = 0
-    pred_punct = 0
-    gold_punct = 0
-    tokens_seen = 0
     for u in test:
         pred = model.predict(list(u.tokens))
         if len(pred) != len(u.labels):
@@ -163,23 +157,21 @@ def evaluate(
             pred = repair_pairing(pred)
         for gold_label, pred_label in zip(u.labels, pred):
             confusion[class_index[gold_label]][class_index[pred_label]] += 1
-            tokens_seen += 1
-            if gold_label is not PunctClass.NONE:
-                gold_punct += 1
-                if pred_label is gold_label:
-                    tp += 1
-            if pred_label is not PunctClass.NONE:
-                pred_punct += 1
 
     per_class: dict[PunctClass, ClassMetrics] = {}
-    for c in CLASS_ORDER:
-        ci = class_index[c]
+    tp = pred_punct = gold_punct = tokens_seen = 0
+    for ci, c in enumerate(CLASS_ORDER):
         support = sum(confusion[ci])
-        predicted = sum(confusion[ri][ci] for ri in range(nclasses))
+        predicted = sum(row[ci] for row in confusion)
         correct = confusion[ci][ci]
         precision = correct / predicted if predicted else 0.0
         recall = correct / support if support else 0.0
         per_class[c] = ClassMetrics(precision, recall, _f1(precision, recall), support)
+        tokens_seen += support
+        if c is not PunctClass.NONE:
+            tp += correct
+            pred_punct += predicted
+            gold_punct += support
 
     micro_precision = tp / pred_punct if pred_punct else 0.0
     micro_recall = tp / gold_punct if gold_punct else 0.0

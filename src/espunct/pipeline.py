@@ -7,8 +7,8 @@ configured row, plus a comparison table.  Every intermediate corpus is
 written to disk; rerunning the same config reproduces every byte.
 The CLI shares its record shaping (corpus.as_labeled, as_text) and parse_strategy.
 
-The serving half wraps a saved model behind newline-delimited JSON over
-stdin/stdout or a TCP socket.
+The serving half answers newline-delimited JSON with a saved model: one
+byte-level loop, serve_lines, over stdin/stdout or each TCP connection.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import socketserver
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence, TextIO
+from typing import BinaryIO, Sequence
 
 from .augment import (
     augment_to_distribution,
@@ -194,7 +194,8 @@ def _parse_row(
     _require("indomain" in sources, f"row {name!r} must train on the in-domain split")
     _require(len(set(sources)) == len(sources), f"row {name!r} repeats a source")
     ordered = tuple(s for s in SPANISH_SOURCES if s in sources)
-    augment = _bool(entry, where, "augment", False)
+    # Augmenting in-domain data alone is a no-op, so such a row is not augmented.
+    augment = _bool(entry, where, "augment", False) and len(ordered) > 1
     return ExperimentRow(name=name, strategy=strategy, spanish_sources=ordered, augment=augment)
 
 
@@ -424,6 +425,7 @@ def run_experiment(config: ExperimentConfig) -> list[EvalReport]:
         keys = [_phase_key(row) for row in config.rows]
         fresh: dict[tuple, object] = {}
         es_lists: dict[tuple, list[LabeledUtterance]] = {}
+        en_checked = False
         for i, row in enumerate(config.rows):
             stage = f"train:{row.name}"
             recipe = (row.spanish_sources, row.augment)
@@ -439,8 +441,9 @@ def run_experiment(config: ExperimentConfig) -> list[EvalReport]:
                 _check_leakage(es_data, test_keys, row.name)
                 es_lists[recipe] = es_data
             en_data = en_converted if row.strategy is not Strategy.ES_ONLY else None
-            if en_data is not None:
+            if en_data is not None and not en_checked:
                 _check_leakage(en_data, test_keys, row.name)
+                en_checked = True
             write_jsonl(es_data, out_dir / f"train_es_{row.name}.jsonl")
             model = run_strategy(
                 row.strategy, es_data, en_data, config.train,
@@ -553,7 +556,8 @@ def handle_request_line(model, line: str) -> str:
 
     Request: {"id": str, "text": str}.  Success response carries the
     punctuated text, per-token labels, and wall-clock latency; failures
-    come back as {"id", "error", "message"}.
+    come back as {"id", "error", "message"}, with a null id unless the
+    request's id is a string that encodes as UTF-8.
     """
     request_id = None
     try:
@@ -566,11 +570,16 @@ def handle_request_line(model, line: str) -> str:
             raise MalformedRequest(f"bad JSON: {exc}") from exc
         if not isinstance(obj, dict):
             raise MalformedRequest("request is not a JSON object")
-        if isinstance(obj.get("id"), str):
-            request_id = obj["id"]
-        else:
+        if not isinstance(obj.get("id"), str):
             raise MalformedRequest("id must be a string")
         text = obj.get("text")
+        try:  # a JSON escape such as \ud800 decodes to a lone surrogate
+            obj["id"].encode("utf-8")
+            if isinstance(text, str):
+                text.encode("utf-8")
+        except UnicodeEncodeError:
+            raise MalformedRequest("id or text holds a lone surrogate") from None
+        request_id = obj["id"]
         if not isinstance(text, str) or not text.strip():
             raise MalformedRequest("text must be a non-empty string")
         started = time.perf_counter()
@@ -588,30 +597,25 @@ def handle_request_line(model, line: str) -> str:
     return json.dumps(payload, ensure_ascii=False, separators=(",", ":"))
 
 
-def serve_stdio(model, in_stream: TextIO, out_stream: TextIO) -> None:
-    """Answer newline-delimited requests until the input stream ends."""
-    for line in in_stream:
-        line = line.strip()
+def serve_lines(model, rfile: BinaryIO, wfile: BinaryIO) -> None:
+    """Answer newline-delimited requests from rfile on wfile until rfile ends;
+    a line that is not UTF-8 gets a MalformedRequest answer."""
+    for raw in rfile:
+        line = raw.decode("utf-8", errors="surrogateescape").strip()
         if not line:
             continue
-        out_stream.write(handle_request_line(model, line))
-        out_stream.write("\n")
-        out_stream.flush()
+        wfile.write(handle_request_line(model, line).encode("utf-8") + b"\n")
+        wfile.flush()
 
 
 class _RequestHandler(socketserver.StreamRequestHandler):
     def handle(self):
-        for raw in self.rfile:
-            line = raw.decode("utf-8", errors="surrogateescape").strip()
-            if not line:
-                continue
-            response = handle_request_line(self.server.model, line)
-            self.wfile.write(response.encode("utf-8") + b"\n")
-            self.wfile.flush()
+        serve_lines(self.server.model, self.rfile, self.wfile)
 
 
 class PunctServer(socketserver.ThreadingTCPServer):
-    """TCP server sharing one immutable model across request threads."""
+    """TCP server sharing one immutable model across request threads;
+    the caller runs serve_forever()."""
 
     allow_reuse_address = True
     daemon_threads = True
@@ -619,8 +623,3 @@ class PunctServer(socketserver.ThreadingTCPServer):
     def __init__(self, address: tuple[str, int], model):
         super().__init__(address, _RequestHandler)
         self.model = model
-
-
-def serve_tcp(model, host: str, port: int) -> PunctServer:
-    """Bind a threading TCP server; the caller runs serve_forever()."""
-    return PunctServer((host, port), model)

@@ -209,14 +209,31 @@ def test_predict_prints_rendered_line(trained, capsys):
     assert out.startswith("Bueno,")
 
 
+def _stdin(payload: bytes) -> io.TextIOWrapper:
+    """A stdin whose text layer is strict UTF-8, as under PYTHONIOENCODING=utf-8."""
+    return io.TextIOWrapper(io.BytesIO(payload), encoding="utf-8", errors="strict")
+
+
+_REQUEST = json.dumps({"id": "q1", "text": "bueno necesito ayuda"}).encode("utf-8") + b"\n"
+
+
 def test_serve_stdio_round_trip(trained, capsys, monkeypatch):
     base, model, test = trained
-    request = json.dumps({"id": "q1", "text": "bueno necesito ayuda"})
-    monkeypatch.setattr(sys, "stdin", io.StringIO(request + "\n"))
+    monkeypatch.setattr(sys, "stdin", _stdin(_REQUEST))
     assert main(["serve", "--model", str(model)]) == 0
     response = json.loads(capsys.readouterr().out)
     assert response["id"] == "q1"
     assert response["text"].startswith("Bueno,")
+
+
+def test_serve_stdio_reads_bytes_past_a_strict_text_layer(trained, capsys, monkeypatch):
+    base, model, test = trained
+    monkeypatch.setattr(sys, "stdin", _stdin(b'{"id":"q0","text":"qu\xe9"}\n' + _REQUEST))
+    assert main(["serve", "--model", str(model)]) == 0
+    first, second = map(json.loads, capsys.readouterr().out.splitlines())
+    assert (first["id"], first["error"]) == (None, "MalformedRequest")
+    assert second["id"] == "q1"
+    assert second["text"].startswith("Bueno,")
 
 
 def test_experiment_prints_rows(tmp_path, capsys):

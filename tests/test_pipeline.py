@@ -27,14 +27,14 @@ from espunct.errors import (
     ZeroTerminalSource,
 )
 from espunct.pipeline import (
+    PunctServer,
     _check_leakage,
     config_from_dict,
     handle_request_line,
     load_config,
     restore,
     run_experiment,
-    serve_stdio,
-    serve_tcp,
+    serve_lines,
     tokenize_for_restore,
 )
 from espunct.selection import select_lowest_perplexity, train_ngram
@@ -481,6 +481,11 @@ _LDC = ("indomain", "ldc")
             id="other-augment-trains-apart",
         ),
         pytest.param(
+            [_row("a", "ES_ONLY", augment=True), _row("b", "ES_ONLY")],
+            ["es"],
+            id="augment-without-other-sources-shares-the-phase",
+        ),
+        pytest.param(
             [_row("a", "EN_THEN_ES"), _row("b", "EN_THEN_ES", _LDC, True)],
             ["en"],
             id="en-phase-shared-across-recipes",
@@ -754,54 +759,26 @@ def test_requests_are_isolated(served_model):
     assert first == second or first["text"] == second["text"]
 
 
-def test_serve_stdio_matches_restore(served_model):
-    texts = [render(u) for u in rule_corpus(30, seed=8)]
-    lines = [json.dumps({"id": f"r{i}", "text": t}) for i, t in enumerate(texts)]
-    in_stream = io.StringIO("\n".join(lines) + "\n\n")
-    out_stream = io.StringIO()
-    serve_stdio(served_model, in_stream, out_stream)
-    responses = out_stream.getvalue().splitlines()
-    assert len(responses) == len(texts)
-    for i, (raw, text) in enumerate(zip(responses, texts)):
-        obj = json.loads(raw)
-        assert obj["id"] == f"r{i}"
-        assert obj["text"] == restore(served_model, text)[0]
+def _stdio_answers(model, payload: bytes) -> list[dict]:
+    out = io.BytesIO()
+    serve_lines(model, io.BytesIO(payload), out)
+    return [json.loads(line) for line in out.getvalue().splitlines()]
 
 
-_NOT_UTF8 = b'{"id":"a","text":"hola qu\xe9 tal"}\n'
-_GOOD = json.dumps({"id": "b", "text": "bueno quiero una cita"}).encode("utf-8") + b"\n"
+def _tcp_answers(server, payload: bytes, count: int) -> list[dict]:
+    with socket.create_connection(server.server_address, timeout=5) as conn:
+        conn.sendall(payload)
+        reader = conn.makefile("rb")
+        return [json.loads(reader.readline()) for _ in range(count)]
 
 
-def _answers_not_utf8_then_serves(first: dict, second: dict):
-    assert first["error"] == "MalformedRequest"
-    assert second["id"] == "b"
-    assert "labels" in second
-
-
-def test_serve_stdio_answers_non_utf8_line(served_model):
-    # stdin and stdout use surrogateescape under the C locale and UTF-8 mode.
-    in_stream = io.TextIOWrapper(
-        io.BytesIO(_NOT_UTF8 + _GOOD), encoding="utf-8", errors="surrogateescape"
-    )
-    out_bytes = io.BytesIO()
-    out_stream = io.TextIOWrapper(out_bytes, encoding="utf-8", errors="surrogateescape")
-    serve_stdio(served_model, in_stream, out_stream)
-    first, second = out_bytes.getvalue().decode("utf-8").splitlines()
-    _answers_not_utf8_then_serves(json.loads(first), json.loads(second))
-
-
-def test_serve_tcp_answers_non_utf8_line(served_model):
-    server = serve_tcp(served_model, "127.0.0.1", 0)
+@pytest.fixture()
+def tcp_server(served_model):
+    server = PunctServer(("127.0.0.1", 0), served_model)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:
-        with socket.create_connection(server.server_address, timeout=5) as conn:
-            conn.sendall(_NOT_UTF8 + _GOOD)
-            reader = conn.makefile("rb")
-            first, second = reader.readline(), reader.readline()
-        _answers_not_utf8_then_serves(
-            json.loads(first.decode("utf-8")), json.loads(second.decode("utf-8"))
-        )
+        yield server
     finally:
         server.shutdown()
         server.server_close()
@@ -809,25 +786,56 @@ def test_serve_tcp_answers_non_utf8_line(served_model):
     assert not thread.is_alive()
 
 
-def test_serve_tcp_round_trip(served_model):
-    server = serve_tcp(served_model, "127.0.0.1", 0)
-    port = server.server_address[1]
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        with socket.create_connection(("127.0.0.1", port), timeout=5) as conn:
-            payload = (
-                json.dumps({"id": "a", "text": "bueno quiero una cita"})
-                + "\n{oops\n"
-            )
-            conn.sendall(payload.encode("utf-8"))
-            reader = conn.makefile("r", encoding="utf-8")
-            first = json.loads(reader.readline())
-            second = json.loads(reader.readline())
-        assert first["id"] == "a"
-        assert "labels" in first
-        assert second["error"] == "MalformedRequest"
-    finally:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=5)
+def test_serve_stdio_matches_restore(served_model):
+    texts = [render(u) for u in rule_corpus(30, seed=8)]
+    lines = [json.dumps({"id": f"r{i}", "text": t}) for i, t in enumerate(texts)]
+    payload = ("\n".join(lines) + "\n\n").encode("utf-8")
+    responses = _stdio_answers(served_model, payload)
+    assert len(responses) == len(texts)
+    for i, (obj, text) in enumerate(zip(responses, texts)):
+        assert obj["id"] == f"r{i}"
+        assert obj["text"] == restore(served_model, text)[0]
+
+
+_NOT_UTF8 = b'{"id":"a","text":"hola qu\xe9 tal"}\n'
+_GOOD = json.dumps({"id": "b", "text": "bueno quiero una cita"}).encode("utf-8") + b"\n"
+# JSON escapes that decode to a lone surrogate, in each echoed field.
+_LONE_SURROGATE = {
+    "id": b'{"id":"a\\ud800","text":"hola tal"}\n',
+    "text": b'{"id":"a","text":"hola \\udce9 tal"}\n',
+}
+
+
+def _answers_malformed_then_serves(first: dict, second: dict):
+    assert first["error"] == "MalformedRequest"
+    assert first["id"] is None
+    assert second["id"] == "b"
+    assert "labels" in second
+
+
+def test_serve_stdio_answers_non_utf8_line(served_model):
+    _answers_malformed_then_serves(*_stdio_answers(served_model, _NOT_UTF8 + _GOOD))
+
+
+def test_serve_tcp_answers_non_utf8_line(tcp_server):
+    _answers_malformed_then_serves(*_tcp_answers(tcp_server, _NOT_UTF8 + _GOOD, 2))
+
+
+@pytest.mark.parametrize("field", sorted(_LONE_SURROGATE))
+def test_serve_stdio_answers_lone_surrogate(served_model, field):
+    answers = _stdio_answers(served_model, _LONE_SURROGATE[field] + _GOOD)
+    _answers_malformed_then_serves(*answers)
+
+
+@pytest.mark.parametrize("field", sorted(_LONE_SURROGATE))
+def test_serve_tcp_answers_lone_surrogate(tcp_server, field):
+    answers = _tcp_answers(tcp_server, _LONE_SURROGATE[field] + _GOOD, 2)
+    _answers_malformed_then_serves(*answers)
+
+
+def test_serve_tcp_round_trip(tcp_server):
+    payload = json.dumps({"id": "a", "text": "bueno quiero una cita"}) + "\n{oops\n"
+    first, second = _tcp_answers(tcp_server, payload.encode("utf-8"), 2)
+    assert first["id"] == "a"
+    assert "labels" in first
+    assert second["error"] == "MalformedRequest"
