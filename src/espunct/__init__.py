@@ -27,7 +27,7 @@ from .crosslingual import anglicize_to_spanish_conventions
 from .errors import PunctError
 from .evaluate import EvalReport, evaluate, split_corpus
 from .pipeline import ExperimentConfig, load_config, restore, run_experiment
-from .postprocess import RepairPolicy, repair_pairing, validate_pairing
+from .postprocess import repair_pairing, validate_pairing
 from .selection import select_lowest_perplexity, train_ngram
 from .tagger import (
     Strategy,
@@ -48,7 +48,6 @@ __all__ = [
     "PunctClass",
     "PunctError",
     "RawUtterance",
-    "RepairPolicy",
     "Strategy",
     "TaggerModel",
     "TerminalHistogram",

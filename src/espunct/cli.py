@@ -237,7 +237,10 @@ def _cmd_serve(args) -> int:
         finally:
             server.server_close()
         return 0
-    serve_lines(model, sys.stdin.buffer, sys.stdout.buffer)
+    if not serve_lines(model, sys.stdin.buffer, sys.stdout.buffer):
+        # The reader went away with an answer still buffered; point stdout
+        # at the null device so the interpreter's final flush cannot raise.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0
 
 

@@ -104,6 +104,10 @@ FULL_FOR = {
 }
 
 CLASS_ORDER: tuple[PunctClass, ...] = tuple(PunctClass)
+# Each label's position in CLASS_ORDER.  A member hashes and compares as
+# its value string, which is its name, so a name read from a file finds
+# its index too.
+CLASS_INDEX = {label: i for i, label in enumerate(CLASS_ORDER)}
 
 # Mark characters a label re-attaches on rendering.
 _LEADING_MARK = {

@@ -1,16 +1,17 @@
 """English-convention to Spanish-convention label conversion.
 
 English question and exclamation marks only close; Spanish pairs them
-with an inverted opener at the start of the clause.  Conversion walks
-each closing label back to the start of its chunk and plants the opener
-there, or promotes the label to the full form when the chunk is a single
-token.
+with an inverted opener at the start of the clause.  Conversion is
+pairing repair applied to close-only labels: every close is unmatched,
+so repair plants its opener at the chunk start, or promotes it to the
+full form when the chunk is a single token.
 """
 
 from __future__ import annotations
 
-from .corpus import FULL_FOR, OPENER_FOR, LabeledUtterance, chunk_start
+from .corpus import LabeledUtterance
 from .errors import AlreadySpanishConvention
+from .postprocess import repair_pairing
 
 
 def anglicize_to_spanish_conventions(u: LabeledUtterance) -> LabeledUtterance:
@@ -27,14 +28,5 @@ def anglicize_to_spanish_conventions(u: LabeledUtterance) -> LabeledUtterance:
             raise AlreadySpanishConvention(
                 f"label {lab.name} already uses Spanish pairing"
             )
-    work = list(u.labels)
-    for i, lab in enumerate(u.labels):
-        if not lab.is_closing:
-            continue
-        kind = lab.kind
-        j = chunk_start(work, i)
-        if j == i:
-            work[i] = FULL_FOR[kind]
-        else:
-            work[j] = OPENER_FOR[kind]
-    return LabeledUtterance(u.tokens, tuple(work), source=u.source, lang=u.lang)
+    labels = tuple(repair_pairing(u.labels))
+    return LabeledUtterance(u.tokens, labels, source=u.source, lang=u.lang)

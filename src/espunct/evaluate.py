@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-from .corpus import CLASS_ORDER, LabeledUtterance, PunctClass, write_lines_atomic
+from .corpus import CLASS_INDEX, CLASS_ORDER, LabeledUtterance, PunctClass, write_lines_atomic
 from .errors import BadFractions, EmptyTestSet, PredictionLengthMismatch
 from .postprocess import repair_pairing
 
@@ -145,7 +145,6 @@ def evaluate(
     if not test:
         raise EmptyTestSet("no test utterances")
     nclasses = len(CLASS_ORDER)
-    class_index = {c: i for i, c in enumerate(CLASS_ORDER)}
     confusion = [[0] * nclasses for _ in range(nclasses)]
     for u in test:
         pred = model.predict(list(u.tokens))
@@ -156,7 +155,7 @@ def evaluate(
         if apply_repair:
             pred = repair_pairing(pred)
         for gold_label, pred_label in zip(u.labels, pred):
-            confusion[class_index[gold_label]][class_index[pred_label]] += 1
+            confusion[CLASS_INDEX[gold_label]][CLASS_INDEX[pred_label]] += 1
 
     per_class: dict[PunctClass, ClassMetrics] = {}
     tp = pred_punct = gold_punct = tokens_seen = 0

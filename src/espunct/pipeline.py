@@ -597,15 +597,23 @@ def handle_request_line(model, line: str) -> str:
     return json.dumps(payload, ensure_ascii=False, separators=(",", ":"))
 
 
-def serve_lines(model, rfile: BinaryIO, wfile: BinaryIO) -> None:
+def serve_lines(model, rfile: BinaryIO, wfile: BinaryIO) -> bool:
     """Answer newline-delimited requests from rfile on wfile until rfile ends;
-    a line that is not UTF-8 gets a MalformedRequest answer."""
-    for raw in rfile:
-        line = raw.decode("utf-8", errors="surrogateescape").strip()
-        if not line:
-            continue
-        wfile.write(handle_request_line(model, line).encode("utf-8") + b"\n")
-        wfile.flush()
+    a line that is not UTF-8 gets a MalformedRequest answer.
+
+    Returns True when rfile ended, False when the peer went away first
+    (a broken pipe or a reset connection), which ends serving quietly.
+    """
+    try:
+        for raw in rfile:
+            line = raw.decode("utf-8", errors="surrogateescape").strip()
+            if not line:
+                continue
+            wfile.write(handle_request_line(model, line).encode("utf-8") + b"\n")
+            wfile.flush()
+    except (BrokenPipeError, ConnectionResetError):
+        return False
+    return True
 
 
 class _RequestHandler(socketserver.StreamRequestHandler):

@@ -1,30 +1,17 @@
-"""Validation and repair of paired-mark structure in predicted labels.
+"""Validation and repair of paired-mark structure in label sequences.
 
 A greedy tagger can open a question and never close it, or close one
 that never opened.  Repair turns any label sequence into one that passes
-validate_pairing without touching tokens.
+validate_pairing without touching tokens.  It is the one code path that
+places pairing marks: serving and evaluation repair predictions with it,
+and English-to-Spanish conversion is repair of close-only labels.
 """
 
 from __future__ import annotations
 
-from enum import Enum
 from typing import Sequence
 
 from .corpus import FULL_FOR, OPENER_FOR, PunctClass, chunk_start
-
-
-class RepairPolicy(str, Enum):
-    """How to resolve unpaired opening and closing labels.
-
-    DROP_OPEN_INSERT_OPEN demotes unmatched opens to NONE and gives each
-    unmatched close a partner: an opener at its chunk start, or the full
-    form when the chunk is one token or a different pair is already open
-    around it.  DROP_BOTH demotes unmatched opens to NONE and flattens
-    unmatched closes to PERIOD.
-    """
-
-    DROP_OPEN_INSERT_OPEN = "drop_open_insert_open"
-    DROP_BOTH = "drop_both"
 
 
 def validate_pairing(labels: Sequence[PunctClass]) -> bool:
@@ -46,14 +33,14 @@ def validate_pairing(labels: Sequence[PunctClass]) -> bool:
     return pending is None
 
 
-def repair_pairing(
-    labels: Sequence[PunctClass],
-    policy: RepairPolicy = RepairPolicy.DROP_OPEN_INSERT_OPEN,
-) -> list[PunctClass]:
+def repair_pairing(labels: Sequence[PunctClass]) -> list[PunctClass]:
     """Minimal rewrite of labels so that validate_pairing holds.
 
-    Matched pairs and all non-paired labels survive untouched.  The
-    result is a fixed point: repairing it again changes nothing.
+    Unmatched opens become NONE.  Each unmatched close gains a partner:
+    an opener at its chunk start, or the full form when the chunk is one
+    token or a different pair is already open around it.  Matched pairs
+    and all non-paired labels survive untouched.  The result is a fixed
+    point: repairing it again changes nothing.
     """
     work = list(labels)
 
@@ -85,8 +72,6 @@ def repair_pairing(
         elif lab.is_closing:
             if pending_kind == lab.kind:
                 pending_kind = None
-            elif policy is RepairPolicy.DROP_BOTH:
-                work[i] = PunctClass.PERIOD
             elif pending_kind is not None:
                 work[i] = FULL_FOR[lab.kind]
             else:

@@ -28,7 +28,7 @@ from functools import partial
 from pathlib import Path
 from typing import Callable, Protocol, Sequence
 
-from .corpus import CLASS_ORDER, LabeledUtterance, PunctClass, write_lines_atomic
+from .corpus import CLASS_INDEX, CLASS_ORDER, LabeledUtterance, PunctClass, write_lines_atomic
 from .errors import EmptyCorpus, MissingEnglishData, ModelLoadError, TargetTooSmall
 
 MODEL_FORMAT_VERSION = 1
@@ -59,10 +59,6 @@ _BOS_WORD = "<s>"
 _EOS_WORD = "</s>"
 _BOS_LABEL = "<start>"
 
-# Label index by member.  A member hashes and compares as its value
-# string, which is its name, so a name read from a model file finds its
-# index too.
-_LABEL_INDEX = {label: li for li, label in enumerate(CLASS_ORDER)}
 # The prev= feature a decoded label index feeds to the next position.
 _PREV_FEATS = tuple(("prev=" + name,) for name in DEFAULT_LABEL_SET)
 _ZERO_SCORES = [0.0] * len(CLASS_ORDER)
@@ -303,7 +299,7 @@ class TaggerModel:
                 if not isinstance(row, dict):
                     raise ModelLoadError(f"weights for {f!r} are not a JSON object")
                 weights[f] = {
-                    _LABEL_INDEX[name]: _checked_weight(f, w) for name, w in row.items()
+                    CLASS_INDEX[name]: _checked_weight(f, w) for name, w in row.items()
                 }
             return cls(weights=weights, training_log=list(obj["training_log"]))
         except (KeyError, TypeError, ValueError) as exc:
@@ -401,7 +397,7 @@ def _run_phase(
             _decode(
                 avg.weights,
                 _static_features(u.tokens, cache),
-                gold=[_LABEL_INDEX[lab] for lab in u.labels],
+                gold=[CLASS_INDEX[lab] for lab in u.labels],
                 on_mistake=partial(avg.mistake, tick=tick),
             )
     return avg.averaged(tick)

@@ -38,7 +38,7 @@ from espunct.pipeline import (
     run_experiment,
     tokenize_for_restore,
 )
-from espunct.postprocess import RepairPolicy, repair_pairing, validate_pairing
+from espunct.postprocess import repair_pairing, validate_pairing
 from espunct.selection import (
     lm_tokenize,
     perplexity,
@@ -181,15 +181,13 @@ def test_c05_augmentation_convergence():
 
 def test_c06_pairing_repair():
     unmatched_open = [PunctClass.OPEN_QUESTION, PunctClass.NONE, PunctClass.NONE]
-    for policy in RepairPolicy:
-        assert repair_pairing(unmatched_open, policy) == list(labels("N N N"))
-        assert not validate_pairing(unmatched_open)
+    assert repair_pairing(unmatched_open) == list(labels("N N N"))
+    assert not validate_pairing(unmatched_open)
 
     rng = random.Random(106)
     for _ in range(100_000):
         seq = random_label_sequence(rng, rng.randint(0, 10))
-        for policy in RepairPolicy:
-            assert validate_pairing(repair_pairing(seq, policy))
+        assert validate_pairing(repair_pairing(seq))
 
 
 def test_c07_tagger_learnability():

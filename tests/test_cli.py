@@ -2,8 +2,11 @@
 
 import io
 import json
+import os
 import socket
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -234,6 +237,30 @@ def test_serve_stdio_reads_bytes_past_a_strict_text_layer(trained, capsys, monke
     assert (first["id"], first["error"]) == (None, "MalformedRequest")
     assert second["id"] == "q1"
     assert second["text"].startswith("Bueno,")
+
+
+def test_serve_stdio_stops_quietly_when_the_reader_goes_away(trained, tmp_path):
+    base, model, test = trained
+    requests = tmp_path / "requests.jsonl"
+    requests.write_bytes(_REQUEST * 3000)  # far more answers than a pipe holds
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    with requests.open("rb") as stdin:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "espunct.cli", "serve", "--model", str(model)],
+            stdin=stdin, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+    try:
+        assert json.loads(proc.stdout.readline())["id"] == "q1"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.wait(60)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stderr.close()
+    assert (proc.returncode, err.decode()) == (0, "")
 
 
 def test_experiment_prints_rows(tmp_path, capsys):

@@ -71,7 +71,7 @@ def test_random_close_only_sequences_become_valid_pairs():
         toks = tuple(f"w{i}" for i in range(n))
         u = LabeledUtterance(toks, labs)
         out = anglicize_to_spanish_conventions(u)
-        validate_pairing(list(out.labels))
+        assert validate_pairing(list(out.labels))
         # conversion keeps every terminator's kind, adding only opens
         for kind in ("question", "exclamation"):
             before = sum(

@@ -1,14 +1,17 @@
-"""Every import in the package is used.
+"""Every import in the package is used, and every public name exists.
 
 A stdlib stand-in for pyflakes' F401: an imported name must be read
 somewhere in its module, be listed in `__all__`, or sit on a line
-marked `# noqa: F401`.
+marked `# noqa: F401`.  Since `__all__` counts as a use, each of its
+names must also be an attribute of the package.
 """
 
 import ast
 from pathlib import Path
 
 import pytest
+
+import espunct
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "espunct"
 
@@ -49,3 +52,7 @@ def test_the_check_sees_an_unused_import():
         "print(osp)\n"
     )
     assert _unused_imports(source) == ["line 2: os"]
+
+
+def test_every_public_name_exists():
+    assert [name for name in espunct.__all__ if not hasattr(espunct, name)] == []

@@ -833,6 +833,24 @@ def test_serve_tcp_answers_lone_surrogate(tcp_server, field):
     _answers_malformed_then_serves(*answers)
 
 
+def test_serve_tcp_stops_quietly_when_the_client_goes_away(tcp_server, capsys):
+    handled = threading.Event()
+    close_request = tcp_server.shutdown_request
+
+    def shutdown_request(request):  # runs once the handler has returned
+        close_request(request)
+        handled.set()
+
+    tcp_server.shutdown_request = shutdown_request
+    with socket.create_connection(tcp_server.server_address, timeout=5) as conn:
+        conn.sendall(_GOOD * 3000)
+        with conn.makefile("rb") as reader:
+            assert json.loads(reader.readline())["id"] == "b"
+    assert handled.wait(30)
+    assert "Traceback" not in capsys.readouterr().err
+    assert _tcp_answers(tcp_server, _GOOD, 1)[0]["id"] == "b"
+
+
 def test_serve_tcp_round_trip(tcp_server):
     payload = json.dumps({"id": "a", "text": "bueno quiero una cita"}) + "\n{oops\n"
     first, second = _tcp_answers(tcp_server, payload.encode("utf-8"), 2)

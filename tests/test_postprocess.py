@@ -5,7 +5,7 @@ import random
 import pytest
 
 from espunct.corpus import terminal_count
-from espunct.postprocess import RepairPolicy, repair_pairing, validate_pairing
+from espunct.postprocess import repair_pairing, validate_pairing
 from espunct.synthetic import random_label_sequence, random_valid_labels
 
 from helpers import labels
@@ -48,13 +48,11 @@ def test_validate_rejects(pattern):
 
 
 def test_unmatched_open_dropped_both_policies():
-    for policy in RepairPolicy:
-        assert repair_pairing(L("OQ N N"), policy=policy) == L("N N N")
+    assert repair_pairing(L("OQ N N")) == L("N N N")
 
 
 def test_unmatched_close_gains_open_or_becomes_period():
     assert repair_pairing(L("N N CQ")) == L("OQ N CQ")
-    assert repair_pairing(L("N N CQ"), policy=RepairPolicy.DROP_BOTH) == L("N N P")
 
 
 def test_close_right_after_terminator_opens_at_chunk_start():
@@ -71,15 +69,10 @@ def test_close_inside_foreign_pair_promotes_to_full():
     assert repair_pairing(L("OE CQ CE")) == L("OE FQ CE")
 
 
-def test_drop_both_flattens_foreign_close_to_period():
-    assert repair_pairing(L("OE CQ CE"), policy=RepairPolicy.DROP_BOTH) == L("OE P CE")
-
-
 def test_repair_preserves_valid_input():
     for pattern in ("OQ N CQ", "N C P", "FE", "OE N N CE N P", "OQ P CQ"):
         seq = L(pattern)
-        for policy in RepairPolicy:
-            assert repair_pairing(seq, policy=policy) == seq
+        assert repair_pairing(seq) == seq
 
 
 def test_repair_output_is_valid_and_idempotent():
@@ -87,10 +80,9 @@ def test_repair_output_is_valid_and_idempotent():
     for _ in range(10000):
         n = rng.randint(1, 10)
         seq = random_label_sequence(rng, n)
-        for policy in RepairPolicy:
-            got = repair_pairing(seq, policy=policy)
-            assert validate_pairing(got)
-            assert repair_pairing(got, policy=policy) == got
+        got = repair_pairing(seq)
+        assert validate_pairing(got)
+        assert repair_pairing(got) == got
 
 
 def test_repair_preserves_terminator_count():
@@ -99,8 +91,7 @@ def test_repair_preserves_terminator_count():
         n = rng.randint(1, 10)
         seq = random_label_sequence(rng, n)
         want = _terminals(seq)
-        for policy in RepairPolicy:
-            assert _terminals(repair_pairing(seq, policy=policy)) == want
+        assert _terminals(repair_pairing(seq)) == want
 
 
 def test_random_valid_sequences_pass_validation():
