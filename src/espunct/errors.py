@@ -17,6 +17,10 @@ class MalformedRecord(PunctError):
         self.line_number = line_number
         self.reason = message
 
+    def __reduce__(self):
+        # Exception pickling re-calls __init__ with self.args, the formatted message.
+        return type(self), (self.line_number, self.reason)
+
 
 class IoFailure(PunctError):
     """Reading or writing a corpus or model file failed at the OS level."""
@@ -86,6 +90,9 @@ class PipelineError(PunctError):
         super().__init__(f"stage {stage!r}: {cause}")
         self.stage = stage
         self.cause = cause
+
+    def __reduce__(self):
+        return type(self), (self.stage, self.cause)
 
 
 class DataLeakageError(PunctError):

@@ -3,8 +3,10 @@
 One JSON config drives the whole experiment grid: a shared seeded split,
 perplexity selection over the subtitle pool, histogram augmentation,
 English conversion, then one trained model and one evaluation report per
-configured row, plus a comparison table.  Every intermediate corpus is
-written to disk; rerunning the same config reproduces every byte.
+configured row, plus a comparison table.  Rows that share no training
+phase train and evaluate in parallel, in forked worker processes.  Every
+intermediate corpus is written to disk; rerunning the same config
+reproduces every byte.
 The CLI shares its record shaping (corpus.as_labeled, as_text) and parse_strategy.
 
 The serving half answers newline-delimited JSON with a saved model: one
@@ -14,8 +16,10 @@ byte-level loop, serve_lines, over stdin/stdout or each TCP connection.
 from __future__ import annotations
 
 import json
+import os
 import socketserver
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Sequence
@@ -340,17 +344,29 @@ def _phase_key(row: ExperimentRow) -> tuple:
     return (row.strategy is Strategy.JOINT, row.spanish_sources, row.augment)
 
 
-class _SharedPhase:
-    """run_strategy's backend for one row: the row's first phase is trained
-    at most once per run and kept in `fresh` under the row's phase key."""
+@contextmanager
+def _stage(name: str):
+    """Re-raise a failure inside the block as PipelineError naming this
+    stage; a PipelineError from an inner stage passes through unchanged."""
+    try:
+        yield
+    except PipelineError:
+        raise
+    except (PunctError, OSError, ValueError, KeyError, TypeError) as exc:
+        raise PipelineError(name, exc) from exc
 
-    def __init__(self, fresh: dict, key: tuple):
-        self.fresh, self.key = fresh, key
+
+class _SharedPhase:
+    """run_strategy's backend for one phase group: the first phase its rows
+    share is trained once, on the first call, and lives as long as the backend."""
+
+    def __init__(self):
+        self.model = None
 
     def train(self, corpus, config, data_tag):
-        if self.key not in self.fresh:
-            self.fresh[self.key] = tagger.train(corpus, config, data_tag)
-        return self.fresh[self.key]
+        if self.model is None:
+            self.model = tagger.train(corpus, config, data_tag)
+        return self.model
 
     continue_train = staticmethod(tagger.continue_train)
 
@@ -361,18 +377,17 @@ def run_experiment(config: ExperimentConfig) -> list[EvalReport]:
     Returns the evaluation reports in row order.  Any failure is
     re-raised as PipelineError naming the stage that broke.
     """
-    stage = "setup"
-    try:
-        out_dir = config.output_dir
+    out_dir = config.output_dir
+    with _stage("setup"):
         out_dir.mkdir(parents=True, exist_ok=True)
 
-        stage = "load"
+    with _stage("load"):
         es_all = _dedup(_load(config.es_indomain, "indomain"))
         ldc = _load(config.ldc, "ldc")
         en_raw = _load(config.en_indomain, "en")
         pool = _load(config.opensubtitle_pool, "opensubtitle")
 
-        stage = "split"
+    with _stage("split"):
         es_train, es_dev, es_test = split_corpus(
             es_all, _SPLIT_FRACTIONS, config.split_seed
         )
@@ -381,14 +396,15 @@ def run_experiment(config: ExperimentConfig) -> list[EvalReport]:
         write_jsonl(es_test, out_dir / "es_test.jsonl")
         test_keys = {(u.tokens, u.labels) for u in es_test}
 
-        selected = None
-        if pool is not None:
-            stage = "select"
+    selected = None
+    if pool is not None:
+        with _stage("select"):
             selected = _select(config, es_train, pool, out_dir)
 
-        stage = "augment"
+    augmented: dict[str, list[LabeledUtterance]] = {}
+    source_data = {"ldc": ldc, "opensubtitle": selected}
+    with _stage("augment"):
         target = histogram(es_train)
-        augmented: dict[str, list[LabeledUtterance]] = {}
         needs_augment = {
             s
             for row in config.rows
@@ -396,7 +412,6 @@ def run_experiment(config: ExperimentConfig) -> list[EvalReport]:
             for s in row.spanish_sources
             if s != "indomain"
         }
-        source_data = {"ldc": ldc, "opensubtitle": selected}
         for name in sorted(needs_augment):
             corpus = source_data[name]
             grown = augment_to_distribution(
@@ -414,20 +429,19 @@ def run_experiment(config: ExperimentConfig) -> list[EvalReport]:
                 out_dir / f"hist_{name}_before_after.tsv",
             )
 
-        en_converted = None
-        if en_raw is not None:
-            stage = "convert"
+    en_converted = None
+    if en_raw is not None:
+        with _stage("convert"):
             en_converted = [anglicize_to_spanish_conventions(u) for u in en_raw]
             write_jsonl(en_converted, out_dir / "en_converted.jsonl")
 
-        reports = []
-        comparison_rows = []
-        keys = [_phase_key(row) for row in config.rows]
-        fresh: dict[tuple, object] = {}
-        es_lists: dict[tuple, list[LabeledUtterance]] = {}
-        en_checked = False
-        for i, row in enumerate(config.rows):
-            stage = f"train:{row.name}"
+    # Rows whose first phase has the same key form one group, which one
+    # worker trains; each entry is (row index, row, Spanish data, English data).
+    groups: dict[tuple, list[tuple]] = {}
+    es_lists: dict[tuple, list[LabeledUtterance]] = {}
+    en_checked = False
+    for i, row in enumerate(config.rows):
+        with _stage(f"train:{row.name}"):
             recipe = (row.spanish_sources, row.augment)
             es_data = es_lists.get(recipe)
             if es_data is None:
@@ -445,47 +459,99 @@ def run_experiment(config: ExperimentConfig) -> list[EvalReport]:
                 _check_leakage(en_data, test_keys, row.name)
                 en_checked = True
             write_jsonl(es_data, out_dir / f"train_es_{row.name}.jsonl")
-            model = run_strategy(
-                row.strategy, es_data, en_data, config.train,
-                backend=_SharedPhase(fresh, keys[i]),
-            )
-            fresh = {k: m for k, m in fresh.items() if k in keys[i + 1 :]}
-            model.save(out_dir / f"model_{row.name}.json")
+        groups.setdefault(_phase_key(row), []).append((i, row, es_data, en_data))
 
-            stage = f"eval:{row.name}"
+    with _stage("train"):
+        results = _run_groups(list(groups.values()), config, es_test, out_dir)
+    reports: list = [None] * len(config.rows)
+    comparison_rows: list = [None] * len(config.rows)
+    for group, group_reports in zip(groups.values(), results):
+        for (i, row, es_data, en_data), report in zip(group, group_reports):
+            reports[i] = report
+            comparison_rows[i] = (
+                row.name,
+                row.strategy.value,
+                len(es_data),
+                len(en_data) if en_data is not None else 0,
+                report.micro_f1_non_none,
+                report.macro_f1_non_none,
+            )
+
+    with _stage("compare"):
+        _write_comparison(comparison_rows, out_dir)
+    return reports
+
+
+def _run_groups(
+    groups: list[list[tuple]],
+    config: ExperimentConfig,
+    es_test: Sequence[LabeledUtterance],
+    out_dir: Path,
+) -> list[list[EvalReport]]:
+    """Each group's reports, in group order, from forked worker processes,
+    at most one per CPU.  Forked workers inherit the groups' corpora rather
+    than unpickling them.  A group is submitted only when a worker is free,
+    so once one group fails no waiting group starts."""
+    # Imported here: at module top they would slow every `import espunct.cli`.
+    import multiprocessing
+    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+
+    workers = min(os.cpu_count() or 1, len(groups))
+    results: list = [None] * len(groups)
+    waiting = iter(range(workers, len(groups)))
+    with ProcessPoolExecutor(
+        max_workers=workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_init_worker,
+        initargs=(groups, config, es_test, out_dir),
+    ) as pool:
+        running = {pool.submit(_run_group, i): i for i in range(workers)}
+        while running:
+            done, _ = wait(running, return_when=FIRST_COMPLETED)
+            for future in done:
+                results[running.pop(future)] = future.result()
+                index = next(waiting, None)
+                if index is not None:
+                    running[pool.submit(_run_group, index)] = index
+    return results
+
+
+# A pool worker's (groups, config, es_test, out_dir), set once at its start.
+_worker_args: tuple = ()
+
+
+def _init_worker(*args) -> None:
+    global _worker_args
+    _worker_args = args
+
+
+def _run_group(index: int) -> list[EvalReport]:
+    """Pool job: train, save and evaluate one group's rows in row order;
+    returns their reports."""
+    groups, config, es_test, out_dir = _worker_args
+    phase = _SharedPhase()
+    reports = []
+    for _, row, es_data, en_data in groups[index]:
+        with _stage(f"train:{row.name}"):
+            model = run_strategy(
+                row.strategy, es_data, en_data, config.train, backend=phase
+            )
+            model.save(out_dir / f"model_{row.name}.json")
+        with _stage(f"eval:{row.name}"):
             report = evaluate(
                 model,
                 es_test,
                 apply_repair=config.eval_repair,
                 dataset_tag=row.name,
             )
-            reports.append(report)
             write_report_json(report, out_dir / f"report_{row.name}.json")
             write_lines_atomic(
                 out_dir / f"report_{row.name}.txt", [report.format_table(), "\n"]
             )
-            comparison_rows.append(
-                (
-                    row.name,
-                    row.strategy.value,
-                    len(es_data),
-                    len(en_data) if en_data is not None else 0,
-                    report.micro_f1_non_none,
-                    report.macro_f1_non_none,
-                )
-            )
-            # Free this row's model before the next row trains.
-            del model
-
-        stage = "compare"
-        _write_comparison(comparison_rows, out_dir)
-        return reports
-    except PunctError as exc:
-        if isinstance(exc, PipelineError):
-            raise
-        raise PipelineError(stage, exc) from exc
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        raise PipelineError(stage, exc) from exc
+        reports.append(report)
+        # Free this row's model before the next row trains.
+        del model
+    return reports
 
 
 def _select(

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from pathlib import Path
+from typing import Callable
 
 from espunct import tagger
 from espunct.corpus import LabeledUtterance, PunctClass
@@ -53,17 +55,20 @@ BAD_MODEL_CHANGES = {
 }
 
 
-def count_trains(monkeypatch) -> list[str]:
-    """Spy on tagger.train; returns the list of data tags it trained."""
-    calls: list[str] = []
+def count_trains(monkeypatch, log: Path) -> Callable[[], list[str]]:
+    """Spy on tagger.train, here and in any worker process forked after
+    this call, by appending each data tag to the file log.  Returns a
+    function giving the tags trained so far; each process's tags keep
+    their order, but tags from concurrent processes interleave."""
     real = tagger.train
 
     def spy(corpus, config, data_tag):
-        calls.append(data_tag)
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(data_tag + "\n")
         return real(corpus, config, data_tag)
 
     monkeypatch.setattr(tagger, "train", spy)
-    return calls
+    return lambda: log.read_text(encoding="utf-8").split() if log.exists() else []
 
 
 BOS = "<s>"

@@ -2,6 +2,7 @@
 
 import io
 import json
+import multiprocessing
 import os
 import socket
 import subprocess
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from espunct.cli import main
-from espunct.corpus import read_jsonl, render, write_jsonl
+from espunct.corpus import RawUtterance, read_jsonl, render, write_jsonl
 from espunct.synthetic import rule_corpus
 from espunct.tagger import TaggerModel
 
@@ -281,6 +282,28 @@ def test_experiment_prints_rows(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "es_only: micro-F1" in out
     assert "comparison.md" in out
+
+
+def test_experiment_failure_in_a_worker_exits_3(tmp_path, capsys):
+    write_jsonl(rule_corpus(40, seed=22), tmp_path / "es.jsonl")
+    en = [RawUtterance(f"ok, can you check item n{i}?", lang="en") for i in range(10)]
+    write_jsonl(en, tmp_path / "en.jsonl")
+    (tmp_path / "out" / "model_joint.json").mkdir(parents=True)
+    config = tmp_path / "config.json"
+    config.write_text(
+        json.dumps({
+            "schema_version": 1,
+            "datasets": {"es_indomain": "es.jsonl", "en_indomain": "en.jsonl"},
+            "strategies": ["ES_ONLY", "JOINT"],
+            "train": {"epochs": 1},
+            "output_dir": str(tmp_path / "out"),
+        }),
+        encoding="utf-8",
+    )
+    assert main(["experiment", "--config", str(config)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: stage 'train:joint': ") and err.count("\n") == 1, err
+    assert multiprocessing.active_children() == []
 
 
 def test_serve_rejects_unusable_model(tmp_path):

@@ -1,0 +1,37 @@
+"""Every toolkit error survives pickling with its type, message and
+attributes, as it must to cross from a grid worker to the parent."""
+
+import inspect
+import pickle
+
+import pytest
+
+from espunct import errors
+
+ERRORS = [
+    cls
+    for _, cls in inspect.getmembers(errors, inspect.isclass)
+    if issubclass(cls, errors.PunctError)
+]
+# Constructor arguments of the errors that take more than a message.
+ARGS = {
+    errors.MalformedRecord: (7, "not a JSON object"),
+    errors.PipelineError: ("train:x", errors.IoFailure("boom")),
+}
+
+
+def _assert_same(got, want):
+    assert type(got) is type(want)
+    assert str(got) == str(want)
+    assert vars(got).keys() == vars(want).keys()
+    for name, value in vars(want).items():
+        if isinstance(value, BaseException):
+            _assert_same(vars(got)[name], value)
+        else:
+            assert vars(got)[name] == value, name
+
+
+@pytest.mark.parametrize("cls", ERRORS, ids=lambda cls: cls.__name__)
+def test_error_survives_pickling(cls):
+    exc = cls(*ARGS.get(cls, ("something broke",)))
+    _assert_same(pickle.loads(pickle.dumps(exc)), exc)

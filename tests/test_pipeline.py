@@ -2,6 +2,8 @@
 
 import io
 import json
+import multiprocessing
+import os
 import re
 import socket
 import threading
@@ -22,6 +24,7 @@ from espunct.corpus import (
 from espunct.errors import (
     ConfigError,
     DataLeakageError,
+    IoFailure,
     MalformedRequest,
     PipelineError,
     ZeroTerminalSource,
@@ -417,7 +420,7 @@ def test_run_experiment_is_byte_deterministic(data_dir, tmp_path):
 
 
 def test_run_experiment_trains_shared_es_phase_once(data_dir, tmp_path, monkeypatch):
-    calls = count_trains(monkeypatch)
+    calls = count_trains(monkeypatch, tmp_path / "trains.log")
     out = tmp_path / "memo"
     obj = base_config(data_dir, out)
     obj["strategies"] = [
@@ -425,7 +428,7 @@ def test_run_experiment_trains_shared_es_phase_once(data_dir, tmp_path, monkeypa
         {"strategy": "ES_THEN_EN", "spanish_sources": ["indomain"]},
     ]
     run_experiment(config_from_dict(obj, data_dir))
-    assert calls == ["es"]
+    assert calls() == ["es"]
 
     es_size = len(read_jsonl(out / "train_es_es_only.jsonl"))
     en_size = len(read_jsonl(out / "en_converted.jsonl"))
@@ -511,14 +514,15 @@ _LDC = ("indomain", "ldc")
 def test_run_experiment_trains_each_planned_phase_once(
     data_dir, tmp_path, monkeypatch, strategies, trained
 ):
-    calls = count_trains(monkeypatch)
+    calls = count_trains(monkeypatch, tmp_path / "trains.log")
     out = tmp_path / "out"
     obj = base_config(data_dir, out)
     obj["strategies"] = strategies
     obj["train"]["epochs"] = 1
     cfg = config_from_dict(obj, data_dir)
     run_experiment(cfg)
-    assert calls == trained
+    # Phase groups train concurrently, so their order is not fixed.
+    assert sorted(calls()) == sorted(trained)
 
     # One Spanish list per recipe, and no two recipes share one.
     lists = {}
@@ -539,13 +543,17 @@ def test_run_experiment_trains_each_planned_phase_once(
 
 
 def test_run_experiment_frees_phases_no_later_row_uses(data_dir, tmp_path, monkeypatch):
-    # At each fresh training, the data tags of the earlier fresh models still alive.
-    alive_at_train = []
+    # One worker takes the phase groups in turn.  At each fresh training it
+    # logs the data tags of the earlier fresh models still alive in it.
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    log = tmp_path / "alive.log"
     models = []
     real = tagger.train
 
     def spy(corpus, config, data_tag):
-        alive_at_train.append([tag for tag, ref in models if ref() is not None])
+        alive = [tag for tag, ref in models if ref() is not None]
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps([data_tag, alive]) + "\n")
         model = real(corpus, config, data_tag)
         models.append((data_tag, weakref.ref(model)))
         return model
@@ -560,8 +568,35 @@ def test_run_experiment_frees_phases_no_later_row_uses(data_dir, tmp_path, monke
     ]
     obj["train"]["epochs"] = 1
     run_experiment(config_from_dict(obj, data_dir))
-    # es waits for es_then_en while joint trains; by the last row both are gone
-    assert alive_at_train == [[], ["es"], []]
+    # es serves es_only and es_then_en in its group, and no fresh model outlives its group
+    trained = [json.loads(line) for line in log.read_text(encoding="utf-8").splitlines()]
+    assert trained == [["es", []], ["joint-es-en", []], ["en", []]]
+    assert multiprocessing.active_children() == []
+
+
+def test_run_experiment_failure_in_a_worker_starts_no_waiting_group(
+    data_dir, tmp_path, monkeypatch
+):
+    # One worker takes the phase groups in turn, so en's group is still waiting.
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    calls = count_trains(monkeypatch, tmp_path / "trains.log")
+    out = tmp_path / "out"
+    (out / "model_joint.json").mkdir(parents=True)
+    obj = base_config(data_dir, out)
+    obj["strategies"] = [
+        _row("es_only", "ES_ONLY"),
+        _row("joint", "JOINT"),
+        _row("en_then_es", "EN_THEN_ES"),
+    ]
+    obj["train"]["epochs"] = 1
+    with pytest.raises(PipelineError) as err:
+        run_experiment(config_from_dict(obj, data_dir))
+    assert err.value.stage == "train:joint"
+    assert isinstance(err.value.cause, IoFailure)
+    assert multiprocessing.active_children() == []
+    assert calls() == ["es", "joint-es-en"]
+    assert (out / "report_es_only.json").is_file()
+    assert not (out / "model_en_then_es.json").exists()
 
 
 def test_run_experiment_dedups_duplicate_indomain(data_dir, tmp_path):

@@ -47,11 +47,11 @@ def test_validate_rejects(pattern):
     assert not validate_pairing(L(pattern))
 
 
-def test_unmatched_open_dropped_both_policies():
+def test_unmatched_open_dropped():
     assert repair_pairing(L("OQ N N")) == L("N N N")
 
 
-def test_unmatched_close_gains_open_or_becomes_period():
+def test_unmatched_close_gains_open():
     assert repair_pairing(L("N N CQ")) == L("OQ N CQ")
 
 

@@ -487,13 +487,13 @@ def test_joint_mixes_and_shuffles_with_config_seed():
     assert model.weights == direct.weights
 
 
-def test_run_strategy_without_backend_trains_fresh(monkeypatch):
-    calls = count_trains(monkeypatch)
+def test_run_strategy_without_backend_trains_fresh(monkeypatch, tmp_path):
+    calls = count_trains(monkeypatch, tmp_path / "trains.log")
     es = rule_corpus(10, seed=0)
     config = TrainConfig(epochs=1, seed=0)
     a = run_strategy(Strategy.ES_ONLY, es, None, config)
     b = run_strategy(Strategy.ES_ONLY, es, None, config)
-    assert calls == ["es", "es"]
+    assert calls() == ["es", "es"]
     assert a is not b
 
 
