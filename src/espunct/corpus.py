@@ -442,7 +442,7 @@ def read_jsonl(path: str | Path) -> list[Utterance]:
                     raise MalformedRecord(line_number, "blank line")
                 try:
                     obj = json.loads(stripped)
-                except json.JSONDecodeError as exc:
+                except (ValueError, RecursionError) as exc:
                     raise MalformedRecord(line_number, f"bad JSON: {exc}") from exc
                 record = _record_from_dict(obj, line_number)
                 if records and type(record) is not type(records[0]):

@@ -297,7 +297,7 @@ def load_config(path: str | Path, seed_override: int | None = None) -> Experimen
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         obj = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return config_from_dict(obj, path.parent, seed_override)
 
@@ -336,12 +336,18 @@ def _check_leakage(
             )
 
 
-def _phase_key(row: ExperimentRow) -> tuple:
-    """What a row's first training phase depends on beyond the run's shared
-    TrainConfig and English data; rows with equal keys share that phase."""
-    if row.strategy is Strategy.EN_THEN_ES:
-        return ("en",)
-    return (row.strategy is Strategy.JOINT, row.spanish_sources, row.augment)
+def _plan(rows: Sequence[ExperimentRow]) -> list[list[int]]:
+    """The indices of the rows that share each first training phase, one
+    group per phase in config order.  Beyond the run's shared TrainConfig
+    and English data, a first phase depends only on its key below."""
+    groups: dict[tuple, list[int]] = {}
+    for i, row in enumerate(rows):
+        if row.strategy is Strategy.EN_THEN_ES:
+            key: tuple = ("en",)
+        else:
+            key = (row.strategy is Strategy.JOINT, row.spanish_sources, row.augment)
+        groups.setdefault(key, []).append(i)
+    return list(groups.values())
 
 
 @contextmanager
@@ -435,88 +441,70 @@ def run_experiment(config: ExperimentConfig) -> list[EvalReport]:
             en_converted = [anglicize_to_spanish_conventions(u) for u in en_raw]
             write_jsonl(en_converted, out_dir / "en_converted.jsonl")
 
-    # Rows whose first phase has the same key form one group, which one
-    # worker trains; each entry is (row index, row, Spanish data, English data).
-    groups: dict[tuple, list[tuple]] = {}
-    es_lists: dict[tuple, list[LabeledUtterance]] = {}
-    en_checked = False
-    for i, row in enumerate(config.rows):
+    # Each row's (Spanish data, English data), in row order.
+    data: list[tuple] = []
+    for row in config.rows:
         with _stage(f"train:{row.name}"):
-            recipe = (row.spanish_sources, row.augment)
-            es_data = es_lists.get(recipe)
-            if es_data is None:
-                # In-domain oversampled to the largest other source, then the others.
-                sources = augmented if row.augment else source_data
-                others = [sources[s] for s in row.spanish_sources if s != "indomain"]
-                target = max([len(es_train)] + [len(c) for c in others])
-                es_data = oversample(es_train, target, seed=config.train.seed)
-                for corpus in others:
-                    es_data.extend(corpus)
-                _check_leakage(es_data, test_keys, row.name)
-                es_lists[recipe] = es_data
+            # In-domain oversampled to the largest other source, then the others.
+            # oversample is seeded, so rows on one recipe get equal lists.
+            sources = augmented if row.augment else source_data
+            others = [sources[s] for s in row.spanish_sources if s != "indomain"]
+            target = max([len(es_train)] + [len(c) for c in others])
+            es_data = oversample(es_train, target, seed=config.train.seed)
+            for corpus in others:
+                es_data.extend(corpus)
+            _check_leakage(es_data, test_keys, row.name)
             en_data = en_converted if row.strategy is not Strategy.ES_ONLY else None
-            if en_data is not None and not en_checked:
+            if en_data is not None:
                 _check_leakage(en_data, test_keys, row.name)
-                en_checked = True
             write_jsonl(es_data, out_dir / f"train_es_{row.name}.jsonl")
-        groups.setdefault(_phase_key(row), []).append((i, row, es_data, en_data))
+        data.append((es_data, en_data))
 
     with _stage("train"):
-        results = _run_groups(list(groups.values()), config, es_test, out_dir)
-    reports: list = [None] * len(config.rows)
-    comparison_rows: list = [None] * len(config.rows)
-    for group, group_reports in zip(groups.values(), results):
-        for (i, row, es_data, en_data), report in zip(group, group_reports):
-            reports[i] = report
-            comparison_rows[i] = (
-                row.name,
-                row.strategy.value,
-                len(es_data),
-                len(en_data) if en_data is not None else 0,
-                report.micro_f1_non_none,
-                report.macro_f1_non_none,
-            )
+        reports = _run_groups(_plan(config.rows), config, data, es_test, out_dir)
 
     with _stage("compare"):
-        _write_comparison(comparison_rows, out_dir)
+        _write_comparison(config.rows, data, reports, out_dir)
     return reports
 
 
 def _run_groups(
-    groups: list[list[tuple]],
+    groups: list[list[int]],
     config: ExperimentConfig,
+    data: Sequence[tuple],
     es_test: Sequence[LabeledUtterance],
     out_dir: Path,
-) -> list[list[EvalReport]]:
-    """Each group's reports, in group order, from forked worker processes,
-    at most one per CPU.  Forked workers inherit the groups' corpora rather
-    than unpickling them.  A group is submitted only when a worker is free,
-    so once one group fails no waiting group starts."""
+) -> list[EvalReport]:
+    """Every row's report, in row order.  Each group of row indices trains in
+    a forked worker process, at most one per CPU, which inherits the rows'
+    corpora rather than unpickling them.  A group is submitted only when a
+    worker is free, so once one group fails no waiting group starts."""
     # Imported here: at module top they would slow every `import espunct.cli`.
     import multiprocessing
     from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 
     workers = min(os.cpu_count() or 1, len(groups))
-    results: list = [None] * len(groups)
-    waiting = iter(range(workers, len(groups)))
+    reports: list = [None] * len(config.rows)
+    waiting = iter(groups[workers:])
     with ProcessPoolExecutor(
         max_workers=workers,
         mp_context=multiprocessing.get_context("fork"),
         initializer=_init_worker,
-        initargs=(groups, config, es_test, out_dir),
+        initargs=(config, data, es_test, out_dir),
     ) as pool:
-        running = {pool.submit(_run_group, i): i for i in range(workers)}
+        running = {pool.submit(_run_group, group): group for group in groups[:workers]}
         while running:
             done, _ = wait(running, return_when=FIRST_COMPLETED)
             for future in done:
-                results[running.pop(future)] = future.result()
-                index = next(waiting, None)
-                if index is not None:
-                    running[pool.submit(_run_group, index)] = index
-    return results
+                for i, report in zip(running.pop(future), future.result()):
+                    reports[i] = report
+                group = next(waiting, None)
+                if group is not None:
+                    running[pool.submit(_run_group, group)] = group
+    return reports
 
 
-# A pool worker's (groups, config, es_test, out_dir), set once at its start.
+# A pool worker's (config, data, es_test, out_dir), set once at its start.
 _worker_args: tuple = ()
 
 
@@ -525,13 +513,15 @@ def _init_worker(*args) -> None:
     _worker_args = args
 
 
-def _run_group(index: int) -> list[EvalReport]:
-    """Pool job: train, save and evaluate one group's rows in row order;
-    returns their reports."""
-    groups, config, es_test, out_dir = _worker_args
+def _run_group(group: list[int]) -> list[EvalReport]:
+    """Pool job: train, save and evaluate the rows at the group's indices,
+    in row order; returns their reports."""
+    config, data, es_test, out_dir = _worker_args
     phase = _SharedPhase()
     reports = []
-    for _, row, es_data, en_data in groups[index]:
+    for i in group:
+        row = config.rows[i]
+        es_data, en_data = data[i]
         with _stage(f"train:{row.name}"):
             model = run_strategy(
                 row.strategy, es_data, en_data, config.train, backend=phase
@@ -571,20 +561,27 @@ def _select(
     return selected
 
 
-def _write_comparison(rows: Sequence[tuple], out_dir: Path) -> None:
+def _write_comparison(
+    rows: Sequence[ExperimentRow],
+    data: Sequence[tuple],
+    reports: Sequence[EvalReport],
+    out_dir: Path,
+) -> None:
     header = ("row", "strategy", "es_train", "en_train", "micro_f1", "macro_f1")
     tsv = ["\t".join(header) + "\n"]
-    for name, strategy, es_n, en_n, micro, macro in rows:
-        tsv.append(f"{name}\t{strategy}\t{es_n}\t{en_n}\t{micro:.6f}\t{macro:.6f}\n")
-    write_lines_atomic(out_dir / "comparison.tsv", tsv)
     lines = [
         "| row | strategy | es train | en train | micro-F1 | macro-F1 |",
         "|---|---|---:|---:|---:|---:|",
     ]
-    for name, strategy, es_n, en_n, micro, macro in rows:
+    for row, (es_data, en_data), report in zip(rows, data, reports):
+        name, strategy, es_n = row.name, row.strategy.value, len(es_data)
+        en_n = len(en_data) if en_data is not None else 0
+        micro, macro = report.micro_f1_non_none, report.macro_f1_non_none
+        tsv.append(f"{name}\t{strategy}\t{es_n}\t{en_n}\t{micro:.6f}\t{macro:.6f}\n")
         lines.append(
             f"| {name} | {strategy} | {es_n} | {en_n} | {micro:.4f} | {macro:.4f} |"
         )
+    write_lines_atomic(out_dir / "comparison.tsv", tsv)
     write_lines_atomic(out_dir / "comparison.md", ["\n".join(lines), "\n"])
 
 
@@ -632,7 +629,7 @@ def handle_request_line(model, line: str) -> str:
             obj = json.loads(line)
         except UnicodeEncodeError:
             raise MalformedRequest("request is not valid UTF-8") from None
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise MalformedRequest(f"bad JSON: {exc}") from exc
         if not isinstance(obj, dict):
             raise MalformedRequest("request is not a JSON object")

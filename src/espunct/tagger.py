@@ -312,7 +312,7 @@ class TaggerModel:
                 obj = json.load(fh)
         except (OSError, UnicodeDecodeError) as exc:
             raise ModelLoadError(f"cannot read {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ModelLoadError(f"model file is not JSON: {exc}") from exc
         return cls.from_json_dict(obj)
 

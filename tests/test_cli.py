@@ -416,6 +416,29 @@ def test_non_utf8_input_is_a_typed_error(tmp_path, capsys, argv, name, content, 
 
 
 @pytest.mark.parametrize(
+    "content", [b"[" * 200_000, b"1" * 5_000], ids=["deep-nesting", "huge-integer"]
+)
+@pytest.mark.parametrize(
+    "argv, name, code",
+    [
+        (["extract"], "bad.jsonl", 3),
+        (["experiment", "--config"], "bad.json", 2),
+        (["predict", "--text", "hola", "--model"], "bad.json", 2),
+    ],
+    ids=["jsonl", "config", "model"],
+)
+def test_hostile_json_is_a_typed_error(tmp_path, capsys, argv, name, code, content):
+    path = tmp_path / name
+    path.write_bytes(content)
+    if argv == ["extract"]:
+        argv = ["extract", "--out", str(tmp_path / "o"), "--in"]
+    assert main(argv + [str(path)]) == code
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
     "command, name, content, expected",
     [
         ("extract", "blank.txt", "\nvale.\n\n\u00ab\u00bb\n", "line 4: text has no tokens"),

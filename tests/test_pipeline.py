@@ -32,6 +32,7 @@ from espunct.errors import (
 from espunct.pipeline import (
     PunctServer,
     _check_leakage,
+    _plan,
     config_from_dict,
     handle_request_line,
     load_config,
@@ -542,6 +543,22 @@ def test_run_experiment_trains_each_planned_phase_once(
         ).read_bytes(), row.name
 
 
+def test_plan_groups_the_benchmark_rows_by_first_phase(data_dir, tmp_path):
+    obj = base_config(data_dir, tmp_path / "out")
+    obj["strategies"] = [
+        _row("es_only", "ES_ONLY"),
+        _row("joint", "JOINT"),
+        _row("es_then_en", "ES_THEN_EN"),
+        _row("en_then_es", "EN_THEN_ES"),
+        _row("aug_es_only", "ES_ONLY", ("indomain", "ldc", "opensubtitle"), True),
+    ]
+    rows = config_from_dict(obj, data_dir).rows
+    # 4 fresh phases; es_then_en continues es_only's, and en_then_es its own.
+    assert _plan(rows) == [[0, 2], [1], [3], [4]]
+    two_phase = (Strategy.ES_THEN_EN, Strategy.EN_THEN_ES)
+    assert [i for i, row in enumerate(rows) if row.strategy in two_phase] == [2, 3]
+
+
 def test_run_experiment_frees_phases_no_later_row_uses(data_dir, tmp_path, monkeypatch):
     # One worker takes the phase groups in turn.  At each fresh training it
     # logs the data tags of the earlier fresh models still alive in it.
@@ -774,6 +791,15 @@ def test_handle_request_error_paths(served_model):
     )
     assert obj["id"] == "r2"
     assert obj["error"] == "MalformedRequest"
+
+
+@pytest.mark.parametrize(
+    "line", ["[" * 200_000, "1" * 5_000], ids=["deep-nesting", "huge-integer"]
+)
+def test_handle_request_hostile_json_is_malformed(served_model, line):
+    obj = json.loads(handle_request_line(served_model, line))
+    assert obj == {"id": None, "error": "MalformedRequest", "message": obj["message"]}
+    assert obj["message"].startswith("bad JSON: ")
 
 
 def test_handle_request_internal_error_is_contained():
