@@ -130,11 +130,11 @@ _LEADING_CHARS = "\u00bf\u00a1"
 _TRAILING_CHARS = "?!,."
 
 # Characters that may not touch a token boundary: marks normalization
-# removes or rewrites, plus parentheses and dashes, which are only
-# tolerated inside a token.  The plain hyphen stays legal at boundaries
-# so disfluencies like "que-" keep their token text.
+# removes or rewrites, plus brackets of every kind and dashes, which are
+# only tolerated inside a token.  The plain hyphen stays legal at
+# boundaries so disfluencies like "que-" keep their token text.
 REJECTED_BOUNDARY = set(
-    "\"'\u00ab\u00bb\u201c\u201d\u2018\u2019:;\u2026()\u2014\u2013"
+    "\"'\u00ab\u00bb\u201c\u201d\u2018\u2019:;\u2026()[]{}\u2014\u2013"
 )
 _BOUNDARY_REJECTS = frozenset(SUPPORTED_MARKS) | REJECTED_BOUNDARY
 

@@ -147,7 +147,7 @@ def evaluate(
     nclasses = len(CLASS_ORDER)
     confusion = [[0] * nclasses for _ in range(nclasses)]
     for u in test:
-        pred = model.predict(list(u.tokens))
+        pred = model.predict(u.tokens)
         if len(pred) != len(u.labels):
             raise PredictionLengthMismatch(
                 f"model returned {len(pred)} labels for {len(u.labels)} tokens"

@@ -5,12 +5,17 @@ back in as a feature, so training updates on decode-time features rather
 than gold history.  Weights are averaged over every utterance-level
 snapshot, which is what makes the otherwise twitchy perceptron stable.
 
-Training and prediction share one decoder, `_decode`.  Only the `prev=`
-feature depends on the decoded history, so the other sixteen templates
-are built once per utterance (`_static_features`) from a per-token-type
-cache, and `prev=` is spliced in between at each position.
-`_feature_list` remains the readable definition of the templates; tests
-hold the fast path to it.
+Training and prediction share one decoder, `_decode`, which sums weight
+rows rather than looking up feature strings.  A `_RowCache` resolves
+each token type's rows (window slots, affixes, shape) once, and the
+`first`, `last` and `prev=` rows once per cache; only the two bigram
+rows are looked up at each position.  A model keeps its predict cache
+for as long as it keeps its weights dict.  A training phase keeps one on
+the weights it updates, where every resolved feature has a row (empty
+until updated), so an update shows at the next position that sums it.
+Rows are summed in template order, so scores are bit-for-bit those of
+`_feature_list`, which remains the readable definition of the
+templates: a mistake updates its strings, and tests hold the rows to it.
 
 The label inventory is fixed: a label's index is its position in
 `corpus.CLASS_ORDER`, and every model file lists those nine names in
@@ -59,8 +64,9 @@ _BOS_WORD = "<s>"
 _EOS_WORD = "</s>"
 _BOS_LABEL = "<start>"
 
-# The prev= feature a decoded label index feeds to the next position.
-_PREV_FEATS = tuple(("prev=" + name,) for name in DEFAULT_LABEL_SET)
+# The label a decoded index feeds to the next position's prev=; index
+# -1 is the history before the first position.
+_PREV_LABELS = DEFAULT_LABEL_SET + (_BOS_LABEL,)
 _ZERO_SCORES = [0.0] * len(CLASS_ORDER)
 
 
@@ -124,90 +130,141 @@ def _feature_list(
     return feats
 
 
-class _TokenFeatures:
-    """Feature strings that depend only on one token type.
+# A feature's weight row as found in a _RowCache: () when predict found
+# no row or an empty one, else (row.items(),).  The view is live, so a
+# training update to the row shows at the next position that sums it.
+_Rows = tuple
 
-    The window slots are the strings this token contributes when it sits
-    at that offset from the position being decoded.
+# A _RowCache starts over when it holds this many token types.  An
+# entry whose type has every row measured about 1.1 KB (0.25 KB for a
+# type without rows), and a full cache 54 MB.  Entries keep their
+# token, so longer tokens are built but not cached.
+_MAX_CACHED_TYPES = 50_000
+_MAX_CACHED_CHARS = 64
+
+
+class _TokenFeatures:
+    """Weight rows of the features that depend only on one token type.
+
+    The window slots (m2 ... p2) are the rows this token contributes
+    when it sits at that offset from the position being decoded.
     """
 
-    __slots__ = ("word", "w_m2", "w_m1", "w0", "w_p1", "w_p2", "affixes", "shape")
+    __slots__ = ("word", "m2", "m1", "w0", "p1", "p2", "affixes", "shape")
 
-    def __init__(self, token: str):
+    def __init__(self, token: str, row: Callable[[str], _Rows]):
         w = token.lower()
         self.word = w
-        self.w_m2 = "w-2=" + w
-        self.w_m1 = "w-1=" + w
-        self.w0 = "w0=" + w
-        self.w_p1 = "w+1=" + w
-        self.w_p2 = "w+2=" + w
-        affixes = []
+        self.m2 = row("w-2=" + w)
+        self.m1 = row("w-1=" + w)
+        self.w0 = row("w0=" + w)
+        self.p1 = row("w+1=" + w)
+        self.p2 = row("w+2=" + w)
+        affixes: _Rows = ()
         for length in (1, 2, 3):
             if length <= len(w):
-                affixes.append(f"pre{length}=" + w[:length])
-                affixes.append(f"suf{length}=" + w[-length:])
-        self.affixes = tuple(affixes)
-        self.shape = "shape=" + _word_shape(token)
+                affixes += row(f"pre{length}=" + w[:length]) + row(f"suf{length}=" + w[-length:])
+        self.affixes = affixes
+        self.shape = row("shape=" + _word_shape(token))
 
 
-# Padding for the window; only word and the window slots are read.
-_BOS_PAD = _TokenFeatures(_BOS_WORD)
-_EOS_PAD = _TokenFeatures(_EOS_WORD)
+class _RowCache:
+    """Feature rows of one weights dict, resolved once per token type.
 
-_Static = list[tuple[tuple[str, ...], tuple[str, ...]]]
-
-
-def _static_features(
-    tokens: Sequence[str], cache: dict[str, _TokenFeatures]
-) -> _Static:
-    """Per position, every feature except prev= as a (head, tail) pair.
-
-    head + ("prev=" + label,) + tail equals _feature_list(...) for that
-    position.  cache maps token -> _TokenFeatures and may be shared by
-    every utterance of one training phase or one predict call.
+    For predict (create=False) a feature without a non-empty row has no
+    rows; predict never writes to the weights.  For training
+    (create=True) every resolved feature gets a row, empty if missing,
+    so updates land in the dict the cache reads.  The wb-1/wb+1 bigrams
+    are not cached; _decode looks them up at each position.
     """
-    window = [_BOS_PAD, _BOS_PAD]
+
+    __slots__ = ("weights", "row", "entries", "bos", "eos", "first", "last", "prev")
+
+    def __init__(self, weights: dict[str, dict[int, float]], create: bool):
+        get = weights.get
+
+        def row(feature: str) -> _Rows:
+            found = get(feature)
+            if create:
+                if found is None:
+                    found = weights[feature] = {}
+            elif not found:
+                return ()
+            return (found.items(),)
+
+        self.weights = weights
+        self.row = row
+        self.entries: dict[str, _TokenFeatures] = {}
+        # Padding for the window; only word and the window slots are read.
+        self.bos = _TokenFeatures(_BOS_WORD, row)
+        self.eos = _TokenFeatures(_EOS_WORD, row)
+        self.first = row("first")
+        self.last = row("last")
+        # Indexed by label index; the last item, index -1, is <start>.
+        self.prev = tuple(row("prev=" + name) for name in _PREV_LABELS)
+
+
+_Static = list[tuple[_Rows, _Rows, tuple[str, str]]]
+
+
+def _static_features(tokens: Sequence[str], cache: _RowCache) -> _Static:
+    """Per position, the rows of every feature but prev= and the bigrams.
+
+    Each position is (head, tail, bigrams): head + cache.prev[label] +
+    tail, then the rows of the two bigram strings, are the rows of
+    _feature_list(...) for that position, in its order.
+    """
+    entries = cache.entries
+    window = [cache.bos, cache.bos]
     for t in tokens:
-        entry = cache.get(t)
+        entry = entries.get(t)
         if entry is None:
-            entry = cache[t] = _TokenFeatures(t)
+            entry = _TokenFeatures(t, cache.row)
+            if len(t) <= _MAX_CACHED_CHARS:
+                if len(entries) >= _MAX_CACHED_TYPES:
+                    entries.clear()
+                entries[t] = entry
         window.append(entry)
-    window += (_EOS_PAD, _EOS_PAD)
+    window += (cache.eos, cache.eos)
     last = len(tokens) - 1
     out = []
     for i in range(len(tokens)):
         m2, m1, cur, p1, p2 = window[i : i + 5]
-        w = cur.word
-        head = (m2.w_m2, m1.w_m1, cur.w0, p1.w_p1, p2.w_p2) + cur.affixes
+        head = m2.m2 + m1.m1 + cur.w0 + p1.p1 + p2.p2 + cur.affixes
         if i == 0:
-            head += ("first",)
+            head += cache.first
         if i == last:
-            head += ("last",)
-        tail = (cur.shape, "wb-1=" + m1.word + "|" + w, "wb+1=" + w + "|" + p1.word)
-        out.append((head, tail))
+            head += cache.last
+        w = cur.word
+        out.append((head, cur.shape, ("wb-1=" + m1.word + "|" + w, "wb+1=" + w + "|" + p1.word)))
     return out
 
 
 def _decode(
-    weights: dict[str, dict[int, float]],
-    static: _Static,
+    cache: _RowCache,
+    tokens: Sequence[str],
     gold: Sequence[int] | None = None,
-    on_mistake: Callable[[tuple[str, ...], int, int], None] | None = None,
+    on_mistake: Callable[[list[str], int, int], None] | None = None,
 ) -> list[int]:
     """Greedy left-to-right decode; returns label indices.
 
     Ties go to the earliest label.  Scores sum weights in template
     order, so results are bit-for-bit those of _feature_list.  Given
-    gold indices, every wrong guess calls on_mistake(feats, gold, guess);
-    decoding continues from the guess, so training sees its own history.
+    gold indices, every wrong guess calls on_mistake(feats, gold, guess)
+    with that position's _feature_list; decoding continues from the
+    guess, so training sees its own history.
     """
-    get = weights.get
-    prev = ("prev=" + _BOS_LABEL,)
+    get = cache.weights.get
+    prev_rows = cache.prev
+    prev = -1
+    lowered = None
     out = []
-    for i, (head, tail) in enumerate(static):
-        feats = head + prev + tail
+    for i, (head, tail, bigrams) in enumerate(_static_features(tokens, cache)):
         scores = _ZERO_SCORES[:]
-        for f in feats:
+        for row in head + prev_rows[prev] + tail:
+            for li, w in row:
+                scores[li] += w
+        for f in bigrams:
             row = get(f)
             if row:
                 for li, w in row.items():
@@ -215,8 +272,10 @@ def _decode(
         # max keeps its first strict maximum, the same as a `>` scan.
         best = scores.index(max(scores))
         if gold is not None and best != gold[i]:
-            on_mistake(feats, gold[i], best)
-        prev = _PREV_FEATS[best]
+            if lowered is None:
+                lowered = [t.lower() for t in tokens]
+            on_mistake(_feature_list(tokens, i, _PREV_LABELS[prev], lowered), gold[i], best)
+        prev = best
         out.append(best)
     return out
 
@@ -251,13 +310,24 @@ class TaggerModel:
 
     weights: dict[str, dict[int, float]] = field(default_factory=dict)
     training_log: list[dict] = field(default_factory=list)
+    _rows: _RowCache | None = field(default=None, init=False, repr=False, compare=False)
 
     def predict(self, tokens: Sequence[str]) -> list[PunctClass]:
-        """Greedy left-to-right decode; ties go to the earliest label."""
+        """Greedy left-to-right decode; ties go to the earliest label.
+
+        The first call builds a row cache that lives as long as this
+        weights dict; concurrent first calls may each build one.
+        """
         if not tokens:
             raise ValueError("cannot predict on an empty token list")
-        static = _static_features(tokens, {})
-        return [CLASS_ORDER[li] for li in _decode(self.weights, static)]
+        cache = self._rows
+        if cache is None or cache.weights is not self.weights:
+            cache = self._rows = _RowCache(self.weights, create=False)
+        return [CLASS_ORDER[li] for li in _decode(cache, tokens)]
+
+    def __getstate__(self) -> dict:
+        # The cache holds dict views and a closure, which do not pickle.
+        return {"weights": self.weights, "training_log": self.training_log}
 
     def to_json_dict(self) -> dict:
         return {
@@ -386,7 +456,7 @@ def _run_phase(
     avg = _Averager(_copy_weights(initial))
     rng = random.Random(config.seed)
     order = list(range(len(corpus)))
-    cache: dict[str, _TokenFeatures] = {}
+    cache = _RowCache(avg.weights, create=True)
     tick = 0
     for _ in range(config.epochs):
         if config.shuffle:
@@ -395,8 +465,8 @@ def _run_phase(
             u = corpus[ci]
             tick += 1
             _decode(
-                avg.weights,
-                _static_features(u.tokens, cache),
+                cache,
+                u.tokens,
                 gold=[CLASS_INDEX[lab] for lab in u.labels],
                 on_mistake=partial(avg.mistake, tick=tick),
             )

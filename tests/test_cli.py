@@ -49,6 +49,15 @@ def test_normalize_rejects_labeled_input(tmp_path):
     assert main(["normalize", "--in", str(bad), "--out", str(tmp_path / "o")]) == 3
 
 
+@pytest.mark.parametrize("line", ["[hola] que tal.", "(hola) que tal.", '{"a": NaN}'])
+def test_extract_refuses_brackets_at_token_edges(tmp_path, line):
+    text = tmp_path / "in.txt"
+    text.write_text(line + "\n", encoding="utf-8")
+    out = tmp_path / "o.jsonl"
+    assert main(["extract", "--in", str(text), "--out", str(out)]) == 3
+    assert not out.exists()
+
+
 def test_extract_labels_lines(tmp_path, text_file):
     out = tmp_path / "labeled.jsonl"
     assert main(["extract", "--in", str(text_file), "--out", str(out)]) == 0

@@ -759,6 +759,11 @@ def test_tokenize_for_restore():
     LabeledUtterance(tuple(toks), tuple([PunctClass.NONE] * len(toks)))
 
 
+def test_tokenize_for_restore_strips_brackets():
+    assert tokenize_for_restore("[hola] que tal") == ["hola", "que", "tal"]
+    assert tokenize_for_restore('{"a": NaN}') == ["a", "NaN"]
+
+
 def test_handle_request_success_shape(served_model):
     line = json.dumps({"id": "r1", "text": "bueno quiero una cita"})
     obj = json.loads(handle_request_line(served_model, line))

@@ -1,10 +1,15 @@
 """Averaged perceptron: features, training, strategies, persistence."""
 
 import json
+import pickle
 import random
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from espunct import tagger
 from espunct.corpus import PunctClass
 from espunct.errors import (
     EmptyCorpus,
@@ -17,6 +22,8 @@ from espunct.synthetic import random_labeled_utterance, rule_corpus, transfer_be
 from espunct.tagger import (
     DEFAULT_LABEL_SET,
     FEATURE_TEMPLATES,
+    _PREV_LABELS,
+    _RowCache,
     Strategy,
     TaggerModel,
     TrainConfig,
@@ -117,16 +124,34 @@ def _template_cases():
 def test_static_features_match_template_definition():
     cases = _template_cases()
     assert any(len(t) == 1 for case in cases for t in case)
-    cache = {}
-    for tokens in cases:
+    weights = {}
+    training = _RowCache(weights, create=True)
+    statics = [_static_features(tokens, training) for tokens in cases]
+    # Training made a row for every feature but the bigrams.  Mark each
+    # row in place; the views cached before must show the marks.
+    for k, row in enumerate(weights.values()):
+        row[0] = float(k)
+    # Predict leaves out absent and empty rows.
+    kept = {}
+    for k, (f, row) in enumerate(weights.items()):
+        if k % 3:
+            kept[f] = row if k % 2 else {}
+    predicting = _RowCache(kept, create=False)
+    for tokens, static in zip(cases, statics):
         lowered = [t.lower() for t in tokens]
-        static = _static_features(tokens, cache)
         assert len(static) == len(tokens)
-        for i, (head, tail) in enumerate(static):
-            for prev in ("<start>",) + DEFAULT_LABEL_SET:
-                assert head + ("prev=" + prev,) + tail == tuple(
-                    _feature_list(tokens, i, prev, lowered)
-                ), (tokens, i, prev)
+        fresh = _static_features(tokens, predicting)
+        for i in range(len(tokens)):
+            for li, prev in enumerate(_PREV_LABELS):
+                feats = _feature_list(tokens, i, prev, lowered)
+                for cache, positions, want in (
+                    (training, static, [weights[f] for f in feats[:-2]]),
+                    (predicting, fresh, [kept[f] for f in feats[:-2] if kept.get(f)]),
+                ):
+                    head, tail, bigrams = positions[i]
+                    rows = [dict(v) for v in head + cache.prev[li] + tail]
+                    assert rows == want, (tokens, i, prev)
+                    assert bigrams == tuple(feats[-2:]), (tokens, i, prev)
 
 
 def _reference_predict(model, tokens):
@@ -160,7 +185,115 @@ def test_predict_matches_reference_decoder():
             assert m.predict(u.tokens) == _reference_predict(m, u.tokens)
 
 
-# ---------------------------------------------------------------- decoding
+def test_scores_sum_in_template_order():
+    # 2**53 + 1 rounds back to 2**53, so label 1 scores 0.0 when the row
+    # holding 1.0 is summed before the row holding -2**53, and 1.0 when
+    # it is summed after it.  Label 0 scores 0.5 either way.
+    big = 2.0**53
+    tokens = ["Hola"]
+    feats = _feature_list(tokens, 0, "<start>", ["hola"])
+    assert len(feats) == len(set(feats)) == len(FEATURE_TEMPLATES)
+    for j in range(1, len(feats)):
+        for k in range(j + 1, len(feats)):
+            model = TaggerModel(
+                weights={feats[0]: {0: 0.5, 1: big}, feats[j]: {1: 1.0}, feats[k]: {1: -big}}
+            )
+            assert model.predict(tokens) == [PunctClass.NONE], (feats[j], feats[k])
+
+
+def _served_model_and_utterances():
+    bench = transfer_benchmark(
+        5, es_train_size=60, es_test_size=40, ldc_size=1, pool_good=1,
+        pool_alien=1, en_size=40,
+    )
+    model = train(bench.es_train + bench.en, TrainConfig(epochs=2, seed=0))
+    return TaggerModel.from_json_dict(model.to_json_dict()), bench.es_test + bench.en
+
+
+def test_predict_cache_is_exact_when_cleared_and_refilled(monkeypatch):
+    monkeypatch.setattr(tagger, "_MAX_CACHED_TYPES", 12)
+    model, utterances = _served_model_and_utterances()
+    sizes = []
+    for u in utterances:
+        assert model.predict(u.tokens) == _reference_predict(model, u.tokens)
+        sizes.append(len(model._rows.entries))
+    assert max(sizes) <= 12
+    cleared = next(k for k in range(1, len(sizes)) if sizes[k] < sizes[k - 1])
+    assert sizes[0] > 0 and 12 in sizes[cleared:], sizes
+
+
+def test_long_tokens_are_not_cached():
+    model, utterances = _served_model_and_utterances()
+    long = "a" * (tagger._MAX_CACHED_CHARS + 1)
+    tokens = list(utterances[0].tokens) + [long, long]
+    assert model.predict(tokens) == _reference_predict(model, tokens)
+    assert long not in model._rows.entries
+    assert utterances[0].tokens[0] in model._rows.entries
+
+
+def test_threads_share_one_fresh_model():
+    model, utterances = _served_model_and_utterances()
+    want = [_reference_predict(model, u.tokens) for u in utterances]
+    assert model._rows is None
+    start = threading.Barrier(4)
+
+    def run():
+        start.wait(timeout=30)
+        return [model.predict(u.tokens) for u in utterances]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            futures = [pool.submit(run) for _ in range(4)]
+            results = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [want] * 4
+
+
+def test_replacing_weights_drops_the_predict_cache():
+    model, utterances = _served_model_and_utterances()
+    other = train(utterances[:30], TrainConfig(epochs=1, seed=3))
+    before = [model.predict(u.tokens) for u in utterances]
+    model.weights = other.weights
+    after = [model.predict(u.tokens) for u in utterances]
+    assert after == [_reference_predict(other, u.tokens) for u in utterances]
+    assert after != before
+
+
+def test_predict_never_writes_to_the_model(tmp_path):
+    model, utterances = _served_model_and_utterances()
+    assert all(model.weights.values())
+    model.save(tmp_path / "before.json")
+    keys = set(model.weights)
+    for u in utterances:
+        model.predict(u.tokens)
+        model.predict([t.upper() + "x" for t in u.tokens])
+    assert set(model.weights) == keys
+    model.save(tmp_path / "after.json")
+    assert (tmp_path / "after.json").read_bytes() == (tmp_path / "before.json").read_bytes()
+
+
+def test_model_pickles_after_predict():
+    model, utterances = _served_model_and_utterances()
+    want = [model.predict(u.tokens) for u in utterances]
+    back = pickle.loads(pickle.dumps(model))
+    assert back == model and back._rows is None
+    assert [back.predict(u.tokens) for u in utterances] == want
+
+
+def test_trained_models_hold_no_empty_row():
+    bench = transfer_benchmark(
+        6, es_train_size=60, es_test_size=1, ldc_size=1, pool_good=1,
+        pool_alien=1, en_size=40,
+    )
+    model = train(bench.es_train, TrainConfig(epochs=2, seed=0))
+    grown = continue_train(model, bench.en, TrainConfig(epochs=1, seed=1))
+    for m in (model, grown):
+        assert m.weights and all(m.weights.values())
+
+
 # ---------------------------------------------------------------- decoding
 
 
