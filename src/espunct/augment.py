@@ -9,14 +9,17 @@ utterance.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .corpus import LabeledUtterance, terminal_count, write_lines_atomic
-from .errors import EmptyCorpus, ZeroTerminalSource
+from .errors import EmptyCorpus, ZeroTerminalSource, ZeroTerminalTarget
 
 _MASS_TOLERANCE = 1e-9
+# Longest concatenation, in tokens, that augmentation builds by default.
+DEFAULT_MAX_TOKENS = 200
 # Draws are dealt in decks of this size once the initial estimate runs out.
 _REFILL_DECK = 64
 
@@ -43,17 +46,6 @@ class TerminalHistogram:
             raise ValueError("bucket masses do not sum to 1")
         object.__setattr__(self, "buckets", dict(sorted(cleaned.items())))
 
-    @classmethod
-    def from_counts(cls, counts: Iterable[int]) -> "TerminalHistogram":
-        tally: dict[int, int] = {}
-        total = 0
-        for c in counts:
-            tally[c] = tally.get(c, 0) + 1
-            total += 1
-        if total == 0:
-            raise EmptyCorpus("no counts to build a histogram from")
-        return cls({k: n / total for k, n in tally.items()})
-
     def mass(self, count: int) -> float:
         return self.buckets.get(count, 0.0)
 
@@ -66,7 +58,8 @@ def histogram(corpus: Sequence[LabeledUtterance]) -> TerminalHistogram:
     """Observed terminators-per-utterance distribution of a corpus."""
     if not corpus:
         raise EmptyCorpus("cannot build a histogram from no utterances")
-    return TerminalHistogram.from_counts(terminal_count(u) for u in corpus)
+    tally = Counter(map(terminal_count, corpus))
+    return TerminalHistogram({k: n / len(corpus) for k, n in tally.items()})
 
 
 def distribution_distance(a: TerminalHistogram, b: TerminalHistogram) -> float:
@@ -116,7 +109,7 @@ def augment_to_distribution(
     source: Sequence[LabeledUtterance],
     target: TerminalHistogram,
     seed: int,
-    max_tokens: int = 200,
+    max_tokens: int = DEFAULT_MAX_TOKENS,
 ) -> list[LabeledUtterance]:
     """Concatenate source utterances until each group's terminator count
     reaches a drawn target, consuming every utterance exactly once.
@@ -134,7 +127,9 @@ def augment_to_distribution(
             f"utterance {u.tokens[:3]}... has no terminating label"
         )
     if target.mass(0) > 0:
-        raise ValueError("target gives mass to zero terminators")
+        raise ZeroTerminalTarget(
+            f"{target.mass(0):.1%} of the target's utterances have no sentence-final mark"
+        )
     if max_tokens < 1:
         raise ValueError(f"max_tokens must be >= 1, got {max_tokens}")
 

@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .augment import augment_to_distribution, histogram, write_histogram_report
+from .augment import DEFAULT_MAX_TOKENS, augment_to_distribution, histogram, write_histogram_report
 from .corpus import (
     LabeledUtterance,
     RawUtterance,
@@ -50,6 +50,7 @@ from .pipeline import (
     serve_lines,
 )
 from .selection import (
+    DEFAULT_ORDER,
     score_pool,
     select_lowest_perplexity,
     train_ngram,
@@ -271,7 +272,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model-corpus", required=True)
     p.add_argument("--pool", required=True)
     p.add_argument("--k", type=_at_least(0), required=True)
-    p.add_argument("--order", type=_at_least(1), default=4)
+    p.add_argument("--order", type=_at_least(1), default=DEFAULT_ORDER)
     p.add_argument("--out", required=True)
     p.add_argument("--report", help="write per-utterance perplexities as TSV")
     p.set_defaults(func=_cmd_select)
@@ -280,7 +281,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source", required=True)
     p.add_argument("--target-corpus", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-tokens", type=_at_least(1), default=200)
+    p.add_argument("--max-tokens", type=_at_least(1), default=DEFAULT_MAX_TOKENS)
     p.add_argument("--out", required=True)
     p.add_argument("--report", help="write before/after histogram masses as TSV")
     p.set_defaults(func=_cmd_augment)
@@ -294,7 +295,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", required=True)
     p.add_argument("--es", required=True)
     p.add_argument("--en", help="converted English data, for the bilingual strategies")
-    p.add_argument("--epochs", type=_at_least(1), default=5)
+    p.add_argument("--epochs", type=_at_least(1), default=TrainConfig.epochs)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--no-shuffle", action="store_true")
     p.add_argument("--out", required=True)

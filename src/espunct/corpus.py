@@ -109,21 +109,20 @@ CLASS_ORDER: tuple[PunctClass, ...] = tuple(PunctClass)
 # its index too.
 CLASS_INDEX = {label: i for i, label in enumerate(CLASS_ORDER)}
 
-# Mark characters a label re-attaches on rendering.
-_LEADING_MARK = {
-    PunctClass.OPEN_QUESTION: "\u00bf",
-    PunctClass.FULL_QUESTION: "\u00bf",
-    PunctClass.OPEN_EXCLAMATION: "\u00a1",
-    PunctClass.FULL_EXCLAMATION: "\u00a1",
+# Each label's (leading, trailing) mark, "" for none: render attaches
+# them, and extract_labels reads a token's marks back through the inverse.
+_MARKS = {
+    PunctClass.NONE: ("", ""),
+    PunctClass.COMMA: ("", ","),
+    PunctClass.PERIOD: ("", "."),
+    PunctClass.OPEN_QUESTION: ("\u00bf", ""),
+    PunctClass.CLOSE_QUESTION: ("", "?"),
+    PunctClass.FULL_QUESTION: ("\u00bf", "?"),
+    PunctClass.OPEN_EXCLAMATION: ("\u00a1", ""),
+    PunctClass.CLOSE_EXCLAMATION: ("", "!"),
+    PunctClass.FULL_EXCLAMATION: ("\u00a1", "!"),
 }
-_TRAILING_MARK = {
-    PunctClass.CLOSE_QUESTION: "?",
-    PunctClass.FULL_QUESTION: "?",
-    PunctClass.CLOSE_EXCLAMATION: "!",
-    PunctClass.FULL_EXCLAMATION: "!",
-    PunctClass.COMMA: ",",
-    PunctClass.PERIOD: ".",
-}
+_LABEL_FOR_MARKS = {marks: label for label, marks in _MARKS.items()}
 
 SUPPORTED_MARKS = "\u00bf?\u00a1!,."
 _LEADING_CHARS = "\u00bf\u00a1"
@@ -141,18 +140,6 @@ _BOUNDARY_REJECTS = frozenset(SUPPORTED_MARKS) | REJECTED_BOUNDARY
 # Each label keyed by itself; a member equals and hashes as its value
 # string, so the value string finds it too.
 _LABEL_OF = {label: label for label in PunctClass}
-
-_LABEL_FOR_MARKS = {
-    (None, None): PunctClass.NONE,
-    (None, ","): PunctClass.COMMA,
-    (None, "."): PunctClass.PERIOD,
-    (None, "?"): PunctClass.CLOSE_QUESTION,
-    (None, "!"): PunctClass.CLOSE_EXCLAMATION,
-    ("\u00bf", None): PunctClass.OPEN_QUESTION,
-    ("\u00bf", "?"): PunctClass.FULL_QUESTION,
-    ("\u00a1", None): PunctClass.OPEN_EXCLAMATION,
-    ("\u00a1", "!"): PunctClass.FULL_EXCLAMATION,
-}
 
 
 @dataclass(frozen=True)
@@ -272,10 +259,10 @@ def normalize_punctuation(text: str) -> str:
 # --- text <-> labels -------------------------------------------------------
 
 
-def _split_marks(word: str) -> tuple[str | None, str, str | None]:
-    """Strip at most one leading and one trailing supported mark."""
-    lead = None
-    trail = None
+def _split_marks(word: str) -> tuple[str, str, str]:
+    """Strip at most one leading and one trailing supported mark ("" if none)."""
+    lead = ""
+    trail = ""
     core = word
     if core and core[0] in _LEADING_CHARS:
         lead = core[0]
@@ -340,9 +327,8 @@ def render(u: LabeledUtterance, capitalize: bool = False) -> str:
         if cap_next and token[0].islower():
             token = token[0].upper() + token[1:]
         cap_next = capitalize and label.is_terminating
-        parts.append(
-            _LEADING_MARK.get(label, "") + token + _TRAILING_MARK.get(label, "")
-        )
+        lead, trail = _MARKS[label]
+        parts.append(lead + token + trail)
     return " ".join(parts)
 
 

@@ -55,12 +55,20 @@ class ZeroTerminalSource(PunctError):
     toward a terminal-count target can never make progress with it."""
 
 
+class ZeroTerminalTarget(PunctError, ValueError):
+    """An augmentation target wants utterances with no terminator."""
+
+
 class AlreadySpanishConvention(PunctError):
     """Labels already contain opening or full marks."""
 
 
 class MissingEnglishData(PunctError):
     """The chosen training strategy needs English data but none was given."""
+
+
+class UnconvertedEnglish(PunctError):
+    """English training data still has unpaired, English-convention marks."""
 
 
 class TargetTooSmall(PunctError):

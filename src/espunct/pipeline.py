@@ -25,6 +25,7 @@ from pathlib import Path
 from typing import BinaryIO, Sequence
 
 from .augment import (
+    DEFAULT_MAX_TOKENS,
     augment_to_distribution,
     histogram,
     write_histogram_report,
@@ -54,6 +55,7 @@ from .errors import (
 from .evaluate import EvalReport, evaluate, split_corpus, write_report_json
 from .postprocess import repair_pairing
 from .selection import (
+    DEFAULT_ORDER,
     score_pool,
     select_lowest_perplexity,
     train_ngram,
@@ -70,7 +72,6 @@ from .tagger import (
 SCHEMA_VERSION = 1
 SPANISH_SOURCES = ("indomain", "ldc", "opensubtitle")
 
-_SPLIT_FRACTIONS = (0.6, 0.1, 0.3)
 _CONFIG_KEYS = {
     "schema_version",
     "datasets",
@@ -220,15 +221,17 @@ def config_from_dict(
 
     if pool is None:
         _require(obj.get("selection") is None, "selection configured without an opensubtitle_pool")
-        selection_k, lm_order = 0, 4
+        selection_k, lm_order = 0, DEFAULT_ORDER
     else:
         selection = _section(obj.get("selection", {}), "selection", {"k", "order"})
         selection_k = _int(selection, "selection", "k", None, low=0)
-        lm_order = _int(selection, "selection", "order", 4, low=1)
+        lm_order = _int(selection, "selection", "order", DEFAULT_ORDER, low=1)
 
     augmentation = _section(obj.get("augmentation", {}), "augmentation", {"seed", "max_tokens"})
     augmentation_seed = _int(augmentation, "augmentation", "seed", 0)
-    augmentation_max_tokens = _int(augmentation, "augmentation", "max_tokens", 200, low=1)
+    augmentation_max_tokens = _int(
+        augmentation, "augmentation", "max_tokens", DEFAULT_MAX_TOKENS, low=1
+    )
 
     available = tuple(
         s
@@ -278,9 +281,9 @@ def config_from_dict(
         augmentation_max_tokens=augmentation_max_tokens,
         rows=rows,
         train=TrainConfig(
-            epochs=_int(train, "train", "epochs", 5, low=1),
+            epochs=_int(train, "train", "epochs", TrainConfig.epochs, low=1),
             seed=train_seed,
-            shuffle=_bool(train, "train", "shuffle", True),
+            shuffle=_bool(train, "train", "shuffle", TrainConfig.shuffle),
         ),
         eval_repair=_bool(eval_obj, "eval", "repair", True),
         split_seed=split_seed,
@@ -394,9 +397,7 @@ def run_experiment(config: ExperimentConfig) -> list[EvalReport]:
         pool = _load(config.opensubtitle_pool, "opensubtitle")
 
     with _stage("split"):
-        es_train, es_dev, es_test = split_corpus(
-            es_all, _SPLIT_FRACTIONS, config.split_seed
-        )
+        es_train, es_dev, es_test = split_corpus(es_all, seed=config.split_seed)
         write_jsonl(es_train, out_dir / "es_train.jsonl")
         write_jsonl(es_dev, out_dir / "es_dev.jsonl")
         write_jsonl(es_test, out_dir / "es_test.jsonl")

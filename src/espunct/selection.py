@@ -28,6 +28,8 @@ UNK = "<unk>"
 
 # Tokens seen fewer times than this in training map to UNK.
 MIN_TOKEN_COUNT = 2
+# n-gram order of the selection language model unless a caller picks one.
+DEFAULT_ORDER = 4
 
 _Record = TypeVar("_Record")
 
@@ -107,7 +109,7 @@ class NGramModel:
         return total, len(tokens) + 1
 
 
-def train_ngram(corpus: Sequence[RawUtterance], order: int = 4) -> NGramModel:
+def train_ngram(corpus: Sequence[RawUtterance], order: int = DEFAULT_ORDER) -> NGramModel:
     """Count-based training of an interpolated Witten-Bell model.
 
     Singleton tokens become UNK so the model has probability mass for
@@ -146,14 +148,7 @@ def train_ngram(corpus: Sequence[RawUtterance], order: int = 4) -> NGramModel:
 
 def perplexity(model: NGramModel, utterance: RawUtterance) -> float:
     """exp of the mean negative log probability per scored event."""
-    return _perplexity(model, utterance, {})
-
-
-def _perplexity(
-    model: NGramModel, utterance: RawUtterance, memo: dict[tuple[str, ...], float]
-) -> float:
-    total, events = model._log_likelihood(utterance.text, memo)
-    return math.exp(-total / events)
+    return score_pool(model, [utterance])[0]
 
 
 def score_pool(model: NGramModel, pool: Sequence[RawUtterance]) -> list[float]:
@@ -163,7 +158,8 @@ def score_pool(model: NGramModel, pool: Sequence[RawUtterance]) -> list[float]:
     cache lives for this call only, so it never outlives the model's use.
     """
     memo: dict[tuple[str, ...], float] = {}
-    return [_perplexity(model, u, memo) for u in pool]
+    pairs = (model._log_likelihood(u.text, memo) for u in pool)
+    return [math.exp(-total / events) for total, events in pairs]
 
 
 def select_lowest_perplexity(

@@ -34,7 +34,14 @@ from pathlib import Path
 from typing import Callable, Protocol, Sequence
 
 from .corpus import CLASS_INDEX, CLASS_ORDER, LabeledUtterance, PunctClass, write_lines_atomic
-from .errors import EmptyCorpus, MissingEnglishData, ModelLoadError, TargetTooSmall
+from .errors import (
+    EmptyCorpus,
+    MissingEnglishData,
+    ModelLoadError,
+    TargetTooSmall,
+    UnconvertedEnglish,
+)
+from .postprocess import validate_pairing
 
 MODEL_FORMAT_VERSION = 1
 
@@ -292,6 +299,8 @@ class TrainConfig:
 
 
 def _checked_weight(feature: str, raw: object) -> float:
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        raise ModelLoadError(f"weight for {feature!r} is not a number: {raw!r}")
     value = float(raw)
     if not math.isfinite(value):
         raise ModelLoadError(f"weight for {feature!r} is not finite: {raw!r}")
@@ -371,8 +380,11 @@ class TaggerModel:
                 weights[f] = {
                     CLASS_INDEX[name]: _checked_weight(f, w) for name, w in row.items()
                 }
-            return cls(weights=weights, training_log=list(obj["training_log"]))
-        except (KeyError, TypeError, ValueError) as exc:
+            log = obj["training_log"]
+            if not isinstance(log, list) or not all(isinstance(e, dict) for e in log):
+                raise ModelLoadError("training_log is not a list of JSON objects")
+            return cls(weights=weights, training_log=log)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ModelLoadError(f"model file is malformed: {exc}") from exc
 
     @classmethod
@@ -489,10 +501,7 @@ def train(
     data_tag: str = "train",
 ) -> TaggerModel:
     """Train a fresh model from zero weights."""
-    if not corpus:
-        raise EmptyCorpus("cannot train on no utterances")
-    weights = _run_phase({}, corpus, config)
-    return TaggerModel(weights=weights, training_log=[_log_entry(data_tag, config, corpus)])
+    return continue_train(TaggerModel(), corpus, config, data_tag)
 
 
 def continue_train(
@@ -507,7 +516,7 @@ def continue_train(
     updated by the new data keep their old values exactly.
     """
     if not corpus:
-        raise EmptyCorpus("cannot continue training on no utterances")
+        raise EmptyCorpus("cannot train on no utterances")
     weights = _run_phase(model.weights, corpus, config)
     return TaggerModel(
         weights=weights,
@@ -543,19 +552,22 @@ def run_strategy(
 ):
     """Train per one of the four data-ordering strategies.
 
-    English data must already be converted to Spanish conventions.  For
-    JOINT the two corpora are mixed and shuffled once with the config
-    seed, then trained as a single phase.
+    English data must already be converted to Spanish conventions: any
+    utterance whose marks do not pair is refused.  For JOINT the two
+    corpora are mixed and shuffled once with the config seed, then
+    trained as a single phase.
     """
     strategy = Strategy(strategy)
     fresh = train if backend is None else backend.train
     further = continue_train if backend is None else backend.continue_train
     if not es_data:
         raise EmptyCorpus("no Spanish training data")
-    if strategy is not Strategy.ES_ONLY and not en_data:
-        raise MissingEnglishData(f"strategy {strategy.value} needs English data")
     if strategy is Strategy.ES_ONLY:
         return fresh(es_data, config, "es")
+    if not en_data:
+        raise MissingEnglishData(f"strategy {strategy.value} needs English data")
+    if not all(validate_pairing(u.labels) for u in en_data):
+        raise UnconvertedEnglish("English data has unpaired marks; run `espunct convert` on it first")
     if strategy is Strategy.ES_THEN_EN:
         return further(fresh(es_data, config, "es"), en_data, config, "en")
     if strategy is Strategy.EN_THEN_ES:

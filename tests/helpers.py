@@ -52,6 +52,11 @@ BAD_MODEL_CHANGES = {
     "label-subset": {"label_set": ["NONE", "PERIOD"]},
     "reordered-labels": {"label_set": list(reversed(tagger.DEFAULT_LABEL_SET))},
     "other-feature-templates": {"feature_templates": ["w0", "w-1"]},
+    "boolean-weight": {"weights": {"w0=hola": {"NONE": True}}},
+    "string-weight": {"weights": {"w0=hola": {"NONE": "2"}}},
+    "overflowing-weight": {"weights": {"w0=hola": {"NONE": 10**400}}},
+    "string-training-log": {"training_log": "abc"},
+    "training-log-of-numbers": {"training_log": [1]},
 }
 
 

@@ -161,6 +161,22 @@ def test_augment_matches_target_and_reports(tmp_path):
     assert report.read_text(encoding="utf-8").startswith("terminals\ttarget\tbefore\tafter")
 
 
+def test_augment_refuses_a_target_line_without_a_final_mark(tmp_path, capsys):
+    source = tmp_path / "s.txt"
+    source.write_text("hola.\nvale, gracias.\n", encoding="utf-8")
+    target = tmp_path / "t.txt"
+    target.write_text("bueno necesito ayuda.\nvale gracias\n", encoding="utf-8")
+    out = tmp_path / "o.jsonl"
+    code = main([
+        "augment", "--source", str(source), "--target-corpus", str(target),
+        "--out", str(out),
+    ])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
 def test_convert_rewrites_conventions(tmp_path):
     source = tmp_path / "en.jsonl"
     write_jsonl([lu("ok how are you", "C N N CQ", lang="en")], source)
@@ -212,6 +228,23 @@ def test_train_seed_env_override(trained, tmp_path, monkeypatch):
         "--epochs", "2", "--seed", "0", "--out", str(enved),
     ])
     assert flagged.read_bytes() == enved.read_bytes()
+
+
+def test_train_refuses_unconverted_english(trained, tmp_path, capsys):
+    base, _, _ = trained
+    raw = tmp_path / "en.jsonl"
+    write_jsonl([lu("ok how are you", "C N N CQ"), lu("yes thanks", "N P")], raw)
+    converted = tmp_path / "en_converted.jsonl"
+    assert main(["convert", "--in", str(raw), "--out", str(converted)]) == 0
+    for en, want in ((raw, 3), (converted, 0)):
+        out = tmp_path / f"joint_{en.stem}.json"
+        code = main([
+            "train", "--strategy", "joint", "--es", str(base / "es.jsonl"),
+            "--en", str(en), "--epochs", "1", "--out", str(out),
+        ])
+        assert code == want, en
+        assert out.exists() == (want == 0)
+    assert "espunct convert" in capsys.readouterr().err
 
 
 def test_predict_prints_rendered_line(trained, capsys):

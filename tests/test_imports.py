@@ -1,9 +1,12 @@
-"""Every import in the package is used, and every public name exists.
+"""Every import in the package is used, every private name is read, and
+every public name exists.
 
 A stdlib stand-in for pyflakes' F401: an imported name must be read
 somewhere in its module, be listed in `__all__`, or sit on a line
 marked `# noqa: F401`.  Since `__all__` counts as a use, each of its
-names must also be an attribute of the package.
+names must also be an attribute of the package.  A module-level name
+with one leading underscore must be read somewhere in the package, as a
+name or as an attribute, so no helper outlives its last caller.
 """
 
 import ast
@@ -52,6 +55,49 @@ def test_the_check_sees_an_unused_import():
         "print(osp)\n"
     )
     assert _unused_imports(source) == ["line 2: os"]
+
+
+def _unread_private_names(sources: dict[str, str]) -> list[str]:
+    defined: list[tuple[str, str]] = []
+    read: set[str] = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((module, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.extend(
+                    (module, n.id)
+                    for t in targets
+                    for n in ast.walk(t)
+                    if isinstance(n, ast.Name)
+                )
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return [
+        f"{module}: {name}"
+        for module, name in defined
+        if name.startswith("_") and not name.startswith("__") and name not in read
+    ]
+
+
+def test_every_private_name_is_read():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    assert _unread_private_names(sources) == []
+
+
+def test_the_check_sees_an_unread_private_name():
+    sources = {
+        "a.py": "_used = 1\n_unused, _pair = 2, 3\n__all__ = []\ndef _helper():\n    return _used\n",
+        "b.py": "import a\nclass _Thing:\n    pass\nprint(a._pair)\n",
+    }
+    assert _unread_private_names(sources) == [
+        "a.py: _unused", "a.py: _helper", "b.py: _Thing"
+    ]
 
 
 def test_every_public_name_exists():

@@ -17,6 +17,7 @@ from espunct.errors import (
     MissingEnglishData,
     ModelLoadError,
     TargetTooSmall,
+    UnconvertedEnglish,
 )
 from espunct.synthetic import random_labeled_utterance, rule_corpus, transfer_benchmark
 from espunct.tagger import (
@@ -515,7 +516,6 @@ def test_load_rejects_unusable_model(tmp_path, case):
 
 
 # -------------------------------------------------------- continue_train
-# -------------------------------------------------------- continue_train
 
 
 def test_continue_train_keeps_untouched_weights_verbatim():
@@ -632,13 +632,17 @@ def test_run_strategy_without_backend_trains_fresh(monkeypatch, tmp_path):
 
 def test_strategy_data_requirements():
     es = rule_corpus(5, seed=0)
+    unconverted = [lu("yes thanks", "N P"), lu("ok how are you", "C N N CQ")]
     with pytest.raises(EmptyCorpus):
         run_strategy(Strategy.ES_ONLY, [], None)
+    assert run_strategy(Strategy.ES_ONLY, es, unconverted).weights
     for s in (Strategy.ES_THEN_EN, Strategy.EN_THEN_ES, Strategy.JOINT):
         with pytest.raises(MissingEnglishData):
             run_strategy(s, es, None)
         with pytest.raises(MissingEnglishData):
             run_strategy(s, es, [])
+        with pytest.raises(UnconvertedEnglish):
+            run_strategy(s, es, unconverted)
 
 
 # -------------------------------------------------------------- oversample
