@@ -40,7 +40,7 @@ from .errors import (
     PipelineError,
     PunctError,
 )
-from .evaluate import evaluate, write_report_json
+from .evaluate import DEFAULT_REPAIR, evaluate, write_report_json
 from .pipeline import (
     PunctServer,
     load_config,
@@ -51,6 +51,7 @@ from .pipeline import (
 )
 from .selection import (
     DEFAULT_ORDER,
+    MAX_ORDER,
     score_pool,
     select_lowest_perplexity,
     train_ngram,
@@ -113,13 +114,16 @@ def _read_labeled(path: str) -> list[LabeledUtterance]:
         raise MalformedRecord(numbered[exc.line_number - 1][0], exc.reason) from None
 
 
-def _at_least(low: int):
-    """argparse type for an integer no smaller than low."""
+def _at_least(low: int, high: int | None = None):
+    """argparse type for an integer no smaller than low and, if high is
+    given, no larger than high."""
 
     def integer(text: str) -> int:
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
         return value
 
     return integer
@@ -272,7 +276,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model-corpus", required=True)
     p.add_argument("--pool", required=True)
     p.add_argument("--k", type=_at_least(0), required=True)
-    p.add_argument("--order", type=_at_least(1), default=DEFAULT_ORDER)
+    p.add_argument("--order", type=_at_least(1, MAX_ORDER), default=DEFAULT_ORDER)
     p.add_argument("--out", required=True)
     p.add_argument("--report", help="write per-utterance perplexities as TSV")
     p.set_defaults(func=_cmd_select)
@@ -305,7 +309,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--test", required=True)
     p.add_argument(
-        "--repair", default=True, action=argparse.BooleanOptionalAction,
+        "--repair", default=DEFAULT_REPAIR, action=argparse.BooleanOptionalAction,
         help="run pairing repair on predictions first",
     )
     p.add_argument("--out", help="write the JSON report here")

@@ -19,6 +19,9 @@ from .postprocess import repair_pairing
 
 _FRACTION_TOLERANCE = 1e-9
 _MIN_SPLIT_SIZE = 10
+# Whether evaluate repairs predictions unless a caller says otherwise;
+# `eval --repair` and the config's eval.repair default to it too.
+DEFAULT_REPAIR = True
 
 
 def split_corpus(
@@ -132,7 +135,7 @@ def _f1(precision: float, recall: float) -> float:
 def evaluate(
     model,
     test: Sequence[LabeledUtterance],
-    apply_repair: bool = True,
+    apply_repair: bool = DEFAULT_REPAIR,
     *,
     dataset_tag: str = "test",
 ) -> EvalReport:

@@ -52,10 +52,11 @@ from .errors import (
     PipelineError,
     PunctError,
 )
-from .evaluate import EvalReport, evaluate, split_corpus, write_report_json
+from .evaluate import DEFAULT_REPAIR, EvalReport, evaluate, split_corpus, write_report_json
 from .postprocess import repair_pairing
 from .selection import (
     DEFAULT_ORDER,
+    MAX_ORDER,
     score_pool,
     select_lowest_perplexity,
     train_ngram,
@@ -99,14 +100,24 @@ def _section(value: object, where: str, keys: set[str]) -> dict:
     return value
 
 
-def _int(section: dict, where: str, key: str, default: int | None, low: int | None = None) -> int:
-    """section[key] (default when absent) as an integer, at least low if given;
-    booleans and null are refused, so a default of None makes the key required."""
+def _int(
+    section: dict,
+    where: str,
+    key: str,
+    default: int | None,
+    low: int | None = None,
+    high: int | None = None,
+) -> int:
+    """section[key] (default when absent) as an integer, at least low and at
+    most high if given; booleans and null are refused, so a default of None
+    makes the key required."""
     value = section.get(key, default)
     _require(
         isinstance(value, int) and not isinstance(value, bool)
-        and (low is None or value >= low),
-        f"{where}.{key} must be an integer" + ("" if low is None else f" >= {low}"),
+        and (low is None or value >= low) and (high is None or value <= high),
+        f"{where}.{key} must be an integer"
+        + ("" if low is None else f" >= {low}")
+        + ("" if high is None else f" and <= {high}"),
     )
     return value
 
@@ -225,7 +236,7 @@ def config_from_dict(
     else:
         selection = _section(obj.get("selection", {}), "selection", {"k", "order"})
         selection_k = _int(selection, "selection", "k", None, low=0)
-        lm_order = _int(selection, "selection", "order", DEFAULT_ORDER, low=1)
+        lm_order = _int(selection, "selection", "order", DEFAULT_ORDER, low=1, high=MAX_ORDER)
 
     augmentation = _section(obj.get("augmentation", {}), "augmentation", {"seed", "max_tokens"})
     augmentation_seed = _int(augmentation, "augmentation", "seed", 0)
@@ -285,7 +296,7 @@ def config_from_dict(
             seed=train_seed,
             shuffle=_bool(train, "train", "shuffle", TrainConfig.shuffle),
         ),
-        eval_repair=_bool(eval_obj, "eval", "repair", True),
+        eval_repair=_bool(eval_obj, "eval", "repair", DEFAULT_REPAIR),
         split_seed=split_seed,
         output_dir=Path(base_dir, output_dir),
     )

@@ -30,6 +30,11 @@ UNK = "<unk>"
 MIN_TOKEN_COUNT = 2
 # n-gram order of the selection language model unless a caller picks one.
 DEFAULT_ORDER = 4
+# Highest order train_ngram accepts.  Training stores every context of
+# every length below the order at each token, so its time and memory
+# grow with the square of the order; order 800 took 1.4 s and 33 MB on
+# 20 four-word lines.  Selection models rarely go past order 5.
+MAX_ORDER = 10
 
 _Record = TypeVar("_Record")
 
@@ -115,8 +120,8 @@ def train_ngram(corpus: Sequence[RawUtterance], order: int = DEFAULT_ORDER) -> N
     Singleton tokens become UNK so the model has probability mass for
     unseen words at score time.
     """
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
+    if not 1 <= order <= MAX_ORDER:
+        raise ValueError(f"order must be between 1 and {MAX_ORDER}, got {order}")
     if not corpus:
         raise EmptyCorpus("cannot train a language model on no utterances")
     streams = [lm_tokenize(u.text) for u in corpus]

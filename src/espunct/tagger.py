@@ -5,17 +5,26 @@ back in as a feature, so training updates on decode-time features rather
 than gold history.  Weights are averaged over every utterance-level
 snapshot, which is what makes the otherwise twitchy perceptron stable.
 
-Training and prediction share one decoder, `_decode`, which sums weight
-rows rather than looking up feature strings.  A `_RowCache` resolves
-each token type's rows (window slots, affixes, shape) once, and the
-`first`, `last` and `prev=` rows once per cache; only the two bigram
-rows are looked up at each position.  A model keeps its predict cache
-for as long as it keeps its weights dict.  A training phase keeps one on
-the weights it updates, where every resolved feature has a row (empty
-until updated), so an update shows at the next position that sums it.
-Rows are summed in template order, so scores are bit-for-bit those of
-`_feature_list`, which remains the readable definition of the
-templates: a mistake updates its strings, and tests hold the rows to it.
+Training and prediction share one decoder, `_decode`, which sums dense
+weight rows rather than looking up feature strings.  A dense row holds
+one weight per label, in `corpus.CLASS_ORDER`, and `_decode` adds it to
+nine running scores with a single unpack.  A `_RowCache` resolves each
+token type's rows (window slots, affixes, shape) once, and the `first`,
+`last` and `prev=` rows once per cache; only the two bigram rows are
+looked up at each position.  A model keeps its predict cache for as
+long as it keeps its weights dict.  It builds an immutable row the first
+time a feature with weights is resolved and keeps it, so the rows it
+holds never outnumber the model's features; features without weights
+add no row and are not kept.  A training phase holds its weights as
+mutable dense rows, where every resolved feature has a row (zeros until
+updated), so an update shows at the next position that sums it; its
+averaged weights are sparse again.  Rows are summed in template order,
+so scores are bit-for-bit those of `_feature_list`, which remains the
+readable definition of the templates: a mistake updates its strings, and
+tests hold the rows to it.  The zeros a dense row holds for labels its
+feature lacks change no score: `x + 0.0 == x` bit for bit for every x
+but -0.0, and a score starts at +0.0, so it is never -0.0 (only
+-0.0 + -0.0 is).
 
 The label inventory is fixed: a label's index is its position in
 `corpus.CLASS_ORDER`, and every model file lists those nine names in
@@ -74,7 +83,8 @@ _BOS_LABEL = "<start>"
 # The label a decoded index feeds to the next position's prev=; index
 # -1 is the history before the first position.
 _PREV_LABELS = DEFAULT_LABEL_SET + (_BOS_LABEL,)
-_ZERO_SCORES = [0.0] * len(CLASS_ORDER)
+# Slots in a dense weight row, one per label; _decode unpacks this many.
+_WIDTH = len(CLASS_ORDER)
 
 
 def _word_shape(token: str) -> str:
@@ -137,15 +147,25 @@ def _feature_list(
     return feats
 
 
-# A feature's weight row as found in a _RowCache: () when predict found
-# no row or an empty one, else (row.items(),).  The view is live, so a
-# training update to the row shows at the next position that sums it.
+# A feature's dense row as found in a _RowCache: () when predict found
+# no row or an empty one, else (row,).  A training row is the phase's
+# own list, so an update to it shows at the next position that sums it.
 _Rows = tuple
 
-# A _RowCache starts over when it holds this many token types.  An
-# entry whose type has every row measured about 1.1 KB (0.25 KB for a
-# type without rows), and a full cache 54 MB.  Entries keep their
-# token, so longer tokens are built but not cached.
+
+def _dense(row: dict[int, float]) -> list[float]:
+    """A sparse {label index: weight} row as one weight per label."""
+    values = [0.0] * _WIDTH
+    for li, w in row.items():
+        values[li] = w
+    return values
+
+# A _RowCache's token types start over when it holds this many.  An
+# entry whose type has every row measured about 0.57 KB, and a full set
+# of entries 28 MB.  Entries keep their token, so longer tokens are built
+# but not cached.  Predict's dense rows are kept apart from the entries
+# and are not cleared with them: about 200 B per feature ever resolved,
+# at most one per model feature (56 MB for 284,583 rows).
 _MAX_CACHED_TYPES = 50_000
 _MAX_CACHED_CHARS = 64
 
@@ -176,31 +196,52 @@ class _TokenFeatures:
 
 
 class _RowCache:
-    """Feature rows of one weights dict, resolved once per token type.
+    """Dense feature rows of one weights dict, resolved once per token type.
 
-    For predict (create=False) a feature without a non-empty row has no
-    rows; predict never writes to the weights.  For training
-    (create=True) every resolved feature gets a row, empty if missing,
-    so updates land in the dict the cache reads.  The wb-1/wb+1 bigrams
-    are not cached; _decode looks them up at each position.
+    For predict (create=False), weights is the model's sparse dict, which
+    predict never writes.  The cache keeps an immutable dense row for each
+    feature whose row is non-empty, built the first time it is resolved;
+    a feature without one has no rows and is not kept.  For training
+    (create=True), weights is the phase's dict of dense lists: every
+    resolved feature gets a row, zeros if missing, so updates land in the
+    rows the cache hands out.  The wb-1/wb+1 bigrams are not cached per
+    token type; _decode resolves them with bigram at each position, which
+    makes no training row (a mistake does).
     """
 
-    __slots__ = ("weights", "row", "entries", "bos", "eos", "first", "last", "prev")
+    __slots__ = ("weights", "row", "bigram", "entries", "bos", "eos", "first", "last", "prev")
 
-    def __init__(self, weights: dict[str, dict[int, float]], create: bool):
-        get = weights.get
+    def __init__(self, weights: dict, create: bool):
+        if create:
+            dense = weights
 
-        def row(feature: str) -> _Rows:
-            found = get(feature)
-            if create:
+            def row(feature: str) -> _Rows:
+                found = dense.get(feature)
                 if found is None:
-                    found = weights[feature] = {}
-            elif not found:
-                return ()
-            return (found.items(),)
+                    found = dense[feature] = [0.0] * _WIDTH
+                return (found,)
 
+            def bigram(feature: str) -> _Rows:
+                found = dense.get(feature)
+                return () if found is None else (found,)
+        else:
+            dense = {}
+            get = weights.get
+
+            def row(feature: str) -> _Rows:
+                found = dense.get(feature)
+                if found is None:
+                    sparse = get(feature)
+                    if not sparse:
+                        return ()
+                    # Threads may race here; each builds an equal tuple.
+                    found = dense[feature] = tuple(_dense(sparse))
+                return (found,)
+
+            bigram = row
         self.weights = weights
         self.row = row
+        self.bigram = bigram
         self.entries: dict[str, _TokenFeatures] = {}
         # Padding for the window; only word and the window slots are read.
         self.bos = _TokenFeatures(_BOS_WORD, row)
@@ -255,27 +296,32 @@ def _decode(
 ) -> list[int]:
     """Greedy left-to-right decode; returns label indices.
 
-    Ties go to the earliest label.  Scores sum weights in template
-    order, so results are bit-for-bit those of _feature_list.  Given
-    gold indices, every wrong guess calls on_mistake(feats, gold, guess)
-    with that position's _feature_list; decoding continues from the
-    guess, so training sees its own history.
+    Ties go to the earliest label.  Each dense row is added to the nine
+    scores with one unpack, rows in template order, so results are
+    bit-for-bit those of _feature_list.  Given gold indices, every wrong
+    guess calls on_mistake(feats, gold, guess) with that position's
+    _feature_list; decoding continues from the guess, so training sees
+    its own history.
     """
-    get = cache.weights.get
+    bigram = cache.bigram
     prev_rows = cache.prev
     prev = -1
     lowered = None
     out = []
-    for i, (head, tail, bigrams) in enumerate(_static_features(tokens, cache)):
-        scores = _ZERO_SCORES[:]
-        for row in head + prev_rows[prev] + tail:
-            for li, w in row:
-                scores[li] += w
-        for f in bigrams:
-            row = get(f)
-            if row:
-                for li, w in row.items():
-                    scores[li] += w
+    for i, (head, tail, (before, after)) in enumerate(_static_features(tokens, cache)):
+        rows = head + prev_rows[prev] + tail + bigram(before) + bigram(after)
+        s0 = s1 = s2 = s3 = s4 = s5 = s6 = s7 = s8 = 0.0
+        for w0, w1, w2, w3, w4, w5, w6, w7, w8 in rows:
+            s0 += w0
+            s1 += w1
+            s2 += w2
+            s3 += w3
+            s4 += w4
+            s5 += w5
+            s6 += w6
+            s7 += w7
+            s8 += w8
+        scores = [s0, s1, s2, s3, s4, s5, s6, s7, s8]
         # max keeps its first strict maximum, the same as a `>` scan.
         best = scores.index(max(scores))
         if gold is not None and best != gold[i]:
@@ -335,7 +381,7 @@ class TaggerModel:
         return [CLASS_ORDER[li] for li in _decode(cache, tokens)]
 
     def __getstate__(self) -> dict:
-        # The cache holds dict views and a closure, which do not pickle.
+        # The cache holds closures, which do not pickle.
         return {"weights": self.weights, "training_log": self.training_log}
 
     def to_json_dict(self) -> dict:
@@ -399,20 +445,17 @@ class TaggerModel:
         return cls.from_json_dict(obj)
 
 
-def _copy_weights(weights: dict[str, dict[int, float]]) -> dict[str, dict[int, float]]:
-    return {f: dict(row) for f, row in weights.items()}
-
-
 class _Averager:
     """Weight averaging via totals and timestamps.
 
     Snapshots conceptually happen after every utterance; instead of
     materializing them, each weight accumulates value * ticks-held
-    lazily on change and once more at flush.
+    lazily on change and once more at flush.  weights holds a dense copy
+    of the initial weights, which the phase updates in place.
     """
 
-    def __init__(self, weights: dict[str, dict[int, float]]):
-        self.weights = weights
+    def __init__(self, initial: dict[str, dict[int, float]]):
+        self.weights = {f: _dense(row) for f, row in initial.items()}
         self._totals: dict[str, dict[int, float]] = {}
         self._stamps: dict[str, dict[int, int]] = {}
 
@@ -423,29 +466,32 @@ class _Averager:
         for f in feats:
             row = weights.get(f)
             if row is None:
-                row = weights[f] = {}
+                row = weights[f] = [0.0] * _WIDTH
             trow = totals.get(f)
             if trow is None:
                 trow = totals[f] = {}
                 srow = stamps[f] = {}
             else:
                 srow = stamps[f]
-            value = row.get(gold, 0.0)
+            value = row[gold]
             trow[gold] = trow.get(gold, 0.0) + (held - srow.get(gold, 0)) * value
             srow[gold] = held
             row[gold] = value + 1.0
-            value = row.get(guess, 0.0)
+            value = row[guess]
             trow[guess] = trow.get(guess, 0.0) + (held - srow.get(guess, 0)) * value
             srow[guess] = held
             row[guess] = value - 1.0
 
     def averaged(self, ticks: int) -> dict[str, dict[int, float]]:
+        """Sparse averaged rows; zero weights and all-zero rows are left out."""
         out: dict[str, dict[int, float]] = {}
         for f, row in self.weights.items():
-            trow = self._totals.get(f, {})
             srow = self._stamps.get(f, {})
+            if not (srow or any(row)):
+                continue  # zeros the phase never updated
+            trow = self._totals.get(f, {})
             arow = {}
-            for li, value in row.items():
+            for li, value in enumerate(row):
                 if li in srow:
                     avg = (trow[li] + (ticks - srow[li]) * value) / ticks
                 else:
@@ -465,7 +511,7 @@ def _run_phase(
     config: TrainConfig,
 ) -> dict[str, dict[int, float]]:
     """One training phase; returns averaged weights."""
-    avg = _Averager(_copy_weights(initial))
+    avg = _Averager(initial)
     rng = random.Random(config.seed)
     order = list(range(len(corpus)))
     cache = _RowCache(avg.weights, create=True)

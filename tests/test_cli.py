@@ -13,6 +13,8 @@ import pytest
 
 from espunct.cli import main
 from espunct.corpus import RawUtterance, read_jsonl, render, write_jsonl
+from espunct.evaluate import DEFAULT_REPAIR
+from espunct.selection import MAX_ORDER
 from espunct.synthetic import rule_corpus
 from espunct.tagger import TaggerModel
 
@@ -212,6 +214,7 @@ def test_train_then_eval(trained, tmp_path, capsys):
     payload = json.loads(report.read_text(encoding="utf-8"))
     assert payload["utterances"] == 30
     assert payload["micro_f1_non_none"] > 0.8
+    assert payload["repaired"] is DEFAULT_REPAIR
 
 
 def test_train_seed_env_override(trained, tmp_path, monkeypatch):
@@ -413,6 +416,8 @@ def test_serve_on_a_port_in_use_is_a_config_error(trained, capsys):
         ["select", "--model-corpus", "m.txt", "--pool", "p.txt", "--k", "-1", "--out", "o"],
         ["select", "--model-corpus", "m.txt", "--pool", "p.txt", "--k", "2",
          "--order", "0", "--out", "o"],
+        ["select", "--model-corpus", "m.txt", "--pool", "p.txt", "--k", "2",
+         "--order", str(MAX_ORDER + 1), "--out", "o"],
         ["augment", "--source", "s.jsonl", "--target-corpus", "t.jsonl",
          "--max-tokens", "0", "--out", "o"],
         ["train", "--strategy", "es_only", "--es", "es.jsonl", "--epochs", "0",
@@ -420,7 +425,10 @@ def test_serve_on_a_port_in_use_is_a_config_error(trained, capsys):
         ["train", "--strategy", "es_only", "--es", "es.jsonl", "--epochs", "many",
          "--out", "o"],
     ],
-    ids=["k-negative", "order-zero", "max-tokens-zero", "epochs-zero", "epochs-not-int"],
+    ids=[
+        "k-negative", "order-zero", "order-above-ceiling", "max-tokens-zero", "epochs-zero",
+        "epochs-not-int",
+    ],
 )
 def test_bad_numeric_flags_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -41,7 +41,7 @@ from espunct.pipeline import (
     serve_lines,
     tokenize_for_restore,
 )
-from espunct.selection import select_lowest_perplexity, train_ngram
+from espunct.selection import MAX_ORDER, select_lowest_perplexity, train_ngram
 from espunct.synthetic import rule_corpus, transfer_benchmark
 from espunct import tagger
 from espunct.tagger import Strategy, TrainConfig, continue_train, run_strategy, train
@@ -256,6 +256,16 @@ def test_config_rejects_wrong_json_types(data_dir, tmp_path, where, key, value):
     section = nested[where] if where in nested else obj[where]
     section[key] = value
     with pytest.raises(ConfigError, match=re.escape(f"{where}.{key} must be")):
+        config_from_dict(obj, data_dir)
+
+
+def test_config_bounds_the_selection_order(data_dir, tmp_path):
+    obj = base_config(data_dir, tmp_path / "out")
+    obj["selection"]["order"] = MAX_ORDER
+    assert config_from_dict(obj, data_dir).lm_order == MAX_ORDER
+    obj["selection"]["order"] = MAX_ORDER + 1
+    message = f"selection.order must be an integer >= 1 and <= {MAX_ORDER}"
+    with pytest.raises(ConfigError, match=re.escape(message)):
         config_from_dict(obj, data_dir)
 
 

@@ -10,6 +10,7 @@ from espunct.corpus import RawUtterance, render
 from espunct.errors import EmptyCorpus, KTooLarge
 from espunct.selection import (
     BOS,
+    MAX_ORDER,
     lm_tokenize,
     perplexity,
     score_pool,
@@ -33,6 +34,9 @@ def test_lm_tokenize():
 def test_train_ngram_validation():
     with pytest.raises(ValueError):
         train_ngram([RawUtterance("a")], order=0)
+    with pytest.raises(ValueError, match=f"between 1 and {MAX_ORDER}"):
+        train_ngram([RawUtterance("a")], order=MAX_ORDER + 1)
+    assert train_ngram([RawUtterance("a a")], order=MAX_ORDER).order == MAX_ORDER
     with pytest.raises(EmptyCorpus):
         train_ngram([], order=2)
 

@@ -10,7 +10,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from espunct import tagger
-from espunct.corpus import PunctClass
+from espunct.corpus import CLASS_ORDER, LabeledUtterance, PunctClass
 from espunct.errors import (
     EmptyCorpus,
     IoFailure,
@@ -30,6 +30,7 @@ from espunct.tagger import (
     TrainConfig,
     _feature_list,
     _static_features,
+    _word_shape,
     continue_train,
     oversample,
     run_strategy,
@@ -128,15 +129,15 @@ def test_static_features_match_template_definition():
     weights = {}
     training = _RowCache(weights, create=True)
     statics = [_static_features(tokens, training) for tokens in cases]
-    # Training made a row for every feature but the bigrams.  Mark each
-    # row in place; the views cached before must show the marks.
+    # Training made a dense row for every feature but the bigrams.  Mark
+    # each row in place; the rows cached before must show the marks.
     for k, row in enumerate(weights.values()):
-        row[0] = float(k)
-    # Predict leaves out absent and empty rows.
+        row[k % len(row)] = float(k + 1)
+    # Predict reads sparse rows and leaves out absent and empty ones.
     kept = {}
     for k, (f, row) in enumerate(weights.items()):
         if k % 3:
-            kept[f] = row if k % 2 else {}
+            kept[f] = dict(enumerate(row)) if k % 2 else {}
     predicting = _RowCache(kept, create=False)
     for tokens, static in zip(cases, statics):
         lowered = [t.lower() for t in tokens]
@@ -147,10 +148,10 @@ def test_static_features_match_template_definition():
                 feats = _feature_list(tokens, i, prev, lowered)
                 for cache, positions, want in (
                     (training, static, [weights[f] for f in feats[:-2]]),
-                    (predicting, fresh, [kept[f] for f in feats[:-2] if kept.get(f)]),
+                    (predicting, fresh, [tuple(weights[f]) for f in feats[:-2] if kept.get(f)]),
                 ):
                     head, tail, bigrams = positions[i]
-                    rows = [dict(v) for v in head + cache.prev[li] + tail]
+                    rows = list(head + cache.prev[li] + tail)
                     assert rows == want, (tokens, i, prev)
                     assert bigrams == tuple(feats[-2:]), (tokens, i, prev)
 
@@ -200,6 +201,46 @@ def test_scores_sum_in_template_order():
                 weights={feats[0]: {0: 0.5, 1: big}, feats[j]: {1: 1.0}, feats[k]: {1: -big}}
             )
             assert model.predict(tokens) == [PunctClass.NONE], (feats[j], feats[k])
+
+
+def test_zero_and_signed_zero_weights_predict_as_reference():
+    # Dense rows add 0.0 for every label a feature lacks; explicit 0.0 and
+    # -0.0 weights, next to the 2**53 rows above, must not move a score.
+    big = 2.0**53
+    names = DEFAULT_LABEL_SET
+    tokens = ["Hola", "qué", "tal"]
+    lowered = [t.lower() for t in tokens]
+    feats = _feature_list(tokens, 0, "<start>", lowered)
+    reachable = {
+        f
+        for i in range(len(tokens))
+        for prev in _PREV_LABELS
+        for f in _feature_list(tokens, i, prev, lowered)
+    }
+    zeros = {
+        f: {name: (-0.0 if (n + li) % 2 else 0.0) for li, name in enumerate(names)}
+        for n, f in enumerate(sorted(reachable))
+    }
+    for j, k in ((1, 2), (3, len(feats) - 1), (len(feats) - 3, len(feats) - 2)):
+        weights = {f: dict(row) for f, row in zeros.items()}
+        weights[feats[0]].update({names[0]: 0.5, names[1]: big, names[2]: -0.0})
+        weights[feats[j]].update({names[1]: 1.0})
+        weights[feats[k]].update({names[1]: -big, names[3]: 0.0})
+        obj = {**TaggerModel().to_json_dict(), "weights": weights}
+        model = TaggerModel.from_json_dict(json.loads(json.dumps(obj)))
+        assert model.predict(tokens) == _reference_predict(model, tokens)
+        assert model.predict(tokens)[0] == PunctClass.NONE, (feats[j], feats[k])
+
+
+def test_every_label_fits_the_decoders_row_width():
+    # _decode sums a fixed number of slots per row; a label past them
+    # would fail to unpack, or be left out of the scores.
+    assert len(CLASS_ORDER) == len(DEFAULT_LABEL_SET) == tagger._WIDTH
+    for li, label in enumerate(CLASS_ORDER):
+        model = TaggerModel(weights={"w0=a": {li: 1.0}})
+        assert model.predict(["a"]) == [label]
+        trained = train([LabeledUtterance(("a",), (label,))], TrainConfig(epochs=1))
+        assert trained.predict(["a"]) == [label]
 
 
 def _served_model_and_utterances():
@@ -373,6 +414,103 @@ def test_averaged_weights_match_snapshot_reference(seed, shuffle):
     config = TrainConfig(epochs=3, seed=seed, shuffle=shuffle)
     model = train(corpus, config)
     assert model.weights == _naive_train(corpus, config)
+
+
+def _snapshot_continue(initial, corpus, config):
+    """Reference continuation phase from float weights.
+
+    Decodes by summing each weight of _feature_list in its order and
+    updates after every mistake.  After each utterance every weight the
+    phase has changed holds one more snapshot: a weight changed during
+    that utterance starts a new run of snapshots at its new value.  A
+    weight's average sums ticks * value over its runs in tick order (the
+    products the lazy averager forms), and a weight the phase never
+    changed keeps its value."""
+    index = {name: li for li, name in enumerate(DEFAULT_LABEL_SET)}
+    nlabels = len(DEFAULT_LABEL_SET)
+    weights = {f: dict(row) for f, row in initial.items()}
+    runs = {}
+    rng = random.Random(config.seed)
+    order = list(range(len(corpus)))
+    ticks = 0
+    for _ in range(config.epochs):
+        if config.shuffle:
+            rng.shuffle(order)
+        for ci in order:
+            u = corpus[ci]
+            ticks += 1
+            changed = {}
+            prev = "<start>"
+            lowered = [t.lower() for t in u.tokens]
+            for i in range(len(u.tokens)):
+                feats = _feature_list(u.tokens, i, prev, lowered)
+                scores = [0.0] * nlabels
+                for f in feats:
+                    for li, w in weights.get(f, {}).items():
+                        scores[li] += w
+                guess = 0
+                for li in range(1, nlabels):
+                    if scores[li] > scores[guess]:
+                        guess = li
+                gold = index[u.labels[i].name]
+                if guess != gold:
+                    for f in feats:
+                        row = weights.setdefault(f, {})
+                        for li, step in ((gold, 1.0), (guess, -1.0)):
+                            changed.setdefault((f, li), row.get(li, 0.0))
+                            row[li] = row.get(li, 0.0) + step
+                prev = DEFAULT_LABEL_SET[guess]
+            for key, run in runs.items():
+                if key not in changed:
+                    run[-1][1] += 1
+            for (f, li), before in changed.items():
+                run = runs.setdefault((f, li), [[before, ticks - 1]])
+                run.append([weights[f][li], 1])
+    out = {}
+    for f, row in weights.items():
+        arow = {}
+        for li, value in row.items():
+            if (f, li) in runs:
+                total = 0.0
+                for held, count in runs[(f, li)]:
+                    total += count * held
+                value = total / ticks
+            if value != 0.0:
+                arow[li] = value
+        if arow:
+            out[f] = arow
+    return out
+
+
+def _with_cancelling_offset(weights, corpus, big):
+    """weights plus big on every label of each prev= row and minus big on
+    every label of each shape= row that corpus reaches.  Each position sums
+    one prev= row and one shape= row, so scores are unchanged in exact
+    arithmetic, but how they round depends on the order rows are summed."""
+    out = {f: dict(row) for f, row in weights.items()}
+    offsets = [("prev=" + name, big) for name in _PREV_LABELS]
+    offsets += [("shape=" + s, -big) for s in {_word_shape(t) for u in corpus for t in u.tokens}]
+    for f, step in offsets:
+        row = out.setdefault(f, {})
+        for li in range(len(DEFAULT_LABEL_SET)):
+            row[li] = row.get(li, 0.0) + step
+    return out
+
+
+@pytest.mark.parametrize("offset", [False, True], ids=["trained", "offset"])
+@pytest.mark.parametrize("seed,shuffle", [(0, True), (1, True), (2, False), (3, False)])
+def test_continued_weights_match_snapshot_reference(seed, shuffle, offset):
+    bench = transfer_benchmark(
+        seed, es_train_size=50, es_test_size=1, ldc_size=1, pool_good=1,
+        pool_alien=1, en_size=40,
+    )
+    model = train(bench.es_train, TrainConfig(epochs=2, seed=seed))
+    assert any(w != int(w) for row in model.weights.values() for w in row.values())
+    if offset:
+        model.weights = _with_cancelling_offset(model.weights, bench.en, 2.0**52)
+    config = TrainConfig(epochs=2, seed=seed + 1, shuffle=shuffle)
+    grown = continue_train(model, bench.en, config)
+    assert grown.weights == _snapshot_continue(model.weights, bench.en, config)
 
 
 # ----------------------------------------------------------- learnability
