@@ -77,7 +77,9 @@ def _text_lines(p: Path) -> list[tuple[int, str]]:
     Lines end at "\n" only, and one "\r" before it is dropped.  Other
     Unicode line breaks (U+2028, U+0085, U+001C-U+001E) stay inside the
     line as whitespace between tokens, so line numbers agree with the
-    count of "\n" that names a non-UTF-8 line.
+    count of "\n" that names a non-UTF-8 line.  A leading byte order mark
+    is dropped, after decoding, so that count still runs over the file's
+    own bytes.
     """
     try:
         data = p.read_bytes()
@@ -87,6 +89,7 @@ def _text_lines(p: Path) -> list[tuple[int, str]]:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise MalformedRecord(data.count(b"\n", 0, exc.start) + 1, "not UTF-8 text") from None
+    text = text.removeprefix("\ufeff")
     return [
         (n, line.removesuffix("\r"))
         for n, line in enumerate(text.split("\n"), start=1)

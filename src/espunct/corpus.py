@@ -363,22 +363,32 @@ def as_text(records: Sequence[Utterance]) -> list[RawUtterance]:
 
 # --- JSONL IO --------------------------------------------------------------
 
-# One encoder for every record: json.dumps builds a new one per call
-# whenever it gets non-default arguments.
-_encode_record = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
+# The quoter JSONEncoder(ensure_ascii=False) itself uses for a string, and
+# each label as its quoted name: write_jsonl builds a line from these alone.
+_quote = json.encoder.encode_basestring
+_QUOTED_LABEL = {label: _quote(label.name) for label in PunctClass}
+# One decoder for every line: json.loads adds two wrapper calls and two
+# whitespace matches a stripped line does not need.
+_raw_decode = json.JSONDecoder().raw_decode
 
 
-def _record_to_dict(rec: Utterance) -> dict:
+def _jsonl_line(rec: Utterance) -> str:
+    """rec as one compact JSON object, keys in fixed order, and a newline."""
     if isinstance(rec, RawUtterance):
-        out: dict = {"text": rec.text}
+        line = '{"text":' + _quote(rec.text)
     else:
-        # A label is a str whose value is its name, so it encodes as one.
-        out = {"tokens": list(rec.tokens), "labels": list(rec.labels)}
+        line = (
+            '{"tokens":['
+            + ",".join(map(_quote, rec.tokens))
+            + '],"labels":['
+            + ",".join(map(_QUOTED_LABEL.__getitem__, rec.labels))
+            + "]"
+        )
     if rec.source is not None:
-        out["source"] = rec.source
+        line += ',"source":' + _quote(rec.source)
     if rec.lang is not None:
-        out["lang"] = rec.lang
-    return out
+        line += ',"lang":' + _quote(rec.lang)
+    return line + "}\n"
 
 
 def _record_from_dict(obj: object, line_number: int) -> Utterance:
@@ -427,9 +437,15 @@ def read_jsonl(path: str | Path) -> list[Utterance]:
                 if not stripped:
                     raise MalformedRecord(line_number, "blank line")
                 try:
-                    obj = json.loads(stripped)
-                except (ValueError, RecursionError) as exc:
-                    raise MalformedRecord(line_number, f"bad JSON: {exc}") from exc
+                    obj, end = _raw_decode(stripped)
+                    if end != len(stripped):
+                        raise ValueError
+                except (ValueError, RecursionError):
+                    # json.loads names what is wrong, a BOM and extra data too.
+                    try:
+                        obj = json.loads(stripped)
+                    except (ValueError, RecursionError) as exc:
+                        raise MalformedRecord(line_number, f"bad JSON: {exc}") from exc
                 record = _record_from_dict(obj, line_number)
                 if records and type(record) is not type(records[0]):
                     raise MalformedRecord(line_number, "file mixes raw and labeled records")
@@ -441,11 +457,11 @@ def read_jsonl(path: str | Path) -> list[Utterance]:
 
 def write_jsonl(records: Iterable[Utterance], path: str | Path) -> None:
     """Write records as canonical JSONL: fixed key order, UTF-8, no ASCII
-    escaping, compact separators.  Byte-identical for identical input,
-    and atomic (see write_lines_atomic)."""
-    write_lines_atomic(
-        path, (_encode_record(_record_to_dict(rec)) + "\n" for rec in records)
-    )
+    escaping, compact separators, the bytes json.dumps would write.
+    Byte-identical for identical input, and atomic (see
+    write_lines_atomic).  A source or lang that is neither None nor a str
+    raises TypeError and leaves path as it was."""
+    write_lines_atomic(path, map(_jsonl_line, records))
 
 
 def write_lines_atomic(path: str | Path, lines: Iterable[str]) -> None:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import os
 import socketserver
+import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -502,7 +503,7 @@ def _run_groups(
         max_workers=workers,
         mp_context=multiprocessing.get_context("fork"),
         initializer=_init_worker,
-        initargs=(config, data, es_test, out_dir),
+        initargs=(os.getpid(), config, data, es_test, out_dir),
     ) as pool:
         running = {pool.submit(_run_group, group): group for group in groups[:workers]}
         while running:
@@ -518,11 +519,24 @@ def _run_groups(
 
 # A pool worker's (config, data, es_test, out_dir), set once at its start.
 _worker_args: tuple = ()
+# How often a pool worker checks that the process that forked it lives.
+_PARENT_POLL_S = 0.25
 
 
-def _init_worker(*args) -> None:
+def _init_worker(parent: int, *args) -> None:
+    """Keep the job's arguments, and start a watcher thread that ends this
+    worker once parent is gone: a killed parent cannot shut the pool down,
+    and a worker left behind would go on writing into out_dir."""
     global _worker_args
     _worker_args = args
+    threading.Thread(target=_exit_when_orphaned, args=(parent,), daemon=True).start()
+
+
+def _exit_when_orphaned(parent: int) -> None:
+    # An orphan is adopted by another process, so its parent pid changes.
+    while os.getppid() == parent:
+        time.sleep(_PARENT_POLL_S)
+    os._exit(1)
 
 
 def _run_group(group: list[int]) -> list[EvalReport]:
@@ -626,6 +640,11 @@ def restore(model, text: str) -> tuple[str, list[PunctClass]]:
     return rendered, labels
 
 
+# One encoder for every response: json.dumps builds a new one per call
+# whenever it gets non-default arguments.
+_encode_response = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
+
+
 def handle_request_line(model, line: str) -> str:
     """One request in, one response out; never raises.
 
@@ -663,13 +682,14 @@ def handle_request_line(model, line: str) -> str:
         payload = {
             "id": request_id,
             "text": rendered,
-            "labels": [lab.name for lab in labels],
+            # A label is a str whose value is its name, so it encodes as one.
+            "labels": labels,
             "latency_ms": round(latency_ms, 3),
         }
     except Exception as exc:
         kind = type(exc).__name__ if isinstance(exc, PunctError) else "InternalError"
         payload = {"id": request_id, "error": kind, "message": str(exc)}
-    return json.dumps(payload, ensure_ascii=False, separators=(",", ":"))
+    return _encode_response(payload)
 
 
 def serve_lines(model, rfile: BinaryIO, wfile: BinaryIO) -> bool:

@@ -507,3 +507,24 @@ def test_data_errors_name_the_file_line(tmp_path, capsys, command, name, content
     path.write_text(content, encoding="utf-8")
     assert main([command, "--in", str(path), "--out", str(tmp_path / "o")]) == 3
     assert capsys.readouterr().err.startswith(f"error: {expected}")
+
+
+def test_a_byte_order_mark_is_dropped_from_plain_text(tmp_path, capsys):
+    text = tmp_path / "x.txt"
+    text.write_bytes(b"\xef\xbb\xbfhola que tal.\n")
+    out = tmp_path / "o.jsonl"
+    assert main(["extract", "--in", str(text), "--out", str(out)]) == 0
+    assert read_jsonl(out)[0].tokens == ("hola", "que", "tal")
+
+    # The mark does not shift the line that names a non-UTF-8 byte.
+    text.write_bytes(b"\xef\xbb\xbfhola.\n\xff\n")
+    assert main(["extract", "--in", str(text), "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("error: line 2: not UTF-8")
+
+    jsonl = tmp_path / "x.jsonl"
+    jsonl.write_bytes(b'\xef\xbb\xbf{"text": "hola."}\n')
+    assert main(["extract", "--in", str(jsonl), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "error: line 1: bad JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): "
+        "line 1 column 1 (char 0)\n"
+    )

@@ -270,6 +270,66 @@ def test_jsonl_errors(tmp_path):
         write_jsonl([], tmp_path / "nosuchdir" / "out.jsonl")
 
 
+@pytest.mark.parametrize(
+    "data, line, reason",
+    [
+        (b'{"text": "hola"} x\n', 1, "bad JSON: Extra data: line 1 column 18 (char 17)"),
+        (
+            b'{"text": "a"}\n{"text": "hola"}{"text": "b"}\n',
+            2,
+            "bad JSON: Extra data: line 1 column 17 (char 16)",
+        ),
+        (
+            b'\xef\xbb\xbf{"text": "hola"}\n',
+            1,
+            "bad JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): "
+            "line 1 column 1 (char 0)",
+        ),
+        (
+            b"[" * 200_000 + b"\n",
+            1,
+            "bad JSON: maximum recursion depth exceeded while decoding "
+            "a JSON array from a unicode string",
+        ),
+        (b'{"text": "a"}\n["text"]\n', 2, "record is not a JSON object"),
+        (b'{"text": "a"}\n"text"\n', 2, "record is not a JSON object"),
+        (
+            b'{"text": "a"}\r\nnot json\r\n',
+            2,
+            "bad JSON: Expecting value: line 1 column 1 (char 0)",
+        ),
+    ],
+    ids=["extra-data", "second-object", "bom", "deep-nesting", "array", "string", "crlf"],
+)
+def test_jsonl_read_messages(tmp_path, data, line, reason):
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(data)
+    with pytest.raises(MalformedRecord) as err:
+        read_jsonl(path)
+    assert (err.value.line_number, err.value.reason) == (line, reason)
+
+
+def test_jsonl_reads_crlf_line_endings(tmp_path):
+    path = tmp_path / "crlf.jsonl"
+    path.write_bytes(
+        b'{"tokens":["hola"],"labels":["PERIOD"],"lang":"es"}\r\n'
+        b'{"tokens":["bien"],"labels":["NONE"]}\r\n'
+    )
+    assert read_jsonl(path) == [lu("hola", "P", lang="es"), lu("bien", "N")]
+
+
+def test_write_jsonl_refuses_a_tag_that_is_not_a_string(tmp_path):
+    # Such a line would not read back, so nothing is written.
+    path = tmp_path / "out.jsonl"
+    write_jsonl([RawUtterance("hola")], path)
+    before = path.read_bytes()
+    for rec in (RawUtterance("hola", source=3), lu("hola", "P", lang=b"es")):
+        with pytest.raises(TypeError):
+            write_jsonl([rec], path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.jsonl"]
+
+
 def test_failed_write_keeps_the_old_file_and_leaves_nothing_behind(tmp_path):
     path = tmp_path / "corpus.jsonl"
     old = [lu("hola", "P")]

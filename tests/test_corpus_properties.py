@@ -3,8 +3,8 @@ punctuation normalization.
 
 The validator checks all tokens at once and walks them one by one only
 on failure; these tests hold it to the plain per-token loop below.  The
-codec reuses one encoder and table lookups; these tests hold it to
-per-record json.dumps.  Normalization returns text that no rewrite can
+codec builds each line from json's string quoter and a label table;
+these tests hold it to per-record json.dumps.  Normalization returns text that no rewrite can
 touch as it is; these tests hold it to the full regex chain.
 """
 

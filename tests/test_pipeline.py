@@ -5,9 +5,14 @@ import json
 import multiprocessing
 import os
 import re
+import signal
 import socket
+import subprocess
+import sys
 import threading
+import time
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -43,7 +48,7 @@ from espunct.pipeline import (
 )
 from espunct.selection import MAX_ORDER, select_lowest_perplexity, train_ngram
 from espunct.synthetic import rule_corpus, transfer_benchmark
-from espunct import tagger
+from espunct import pipeline, tagger
 from espunct.tagger import Strategy, TrainConfig, continue_train, run_strategy, train
 
 from helpers import count_trains, labels, lu
@@ -626,6 +631,61 @@ def test_run_experiment_failure_in_a_worker_starts_no_waiting_group(
     assert not (out / "model_en_then_es.json").exists()
 
 
+# Runs the real pool with two workers whose job records its pid and then
+# waits far longer than the test does.
+_HELD_POOL = """
+import os, sys, time, types
+from pathlib import Path
+from espunct import pipeline
+
+out = Path(sys.argv[1])
+
+def hold(group):
+    (out / f"worker-{os.getpid()}").touch()
+    time.sleep(60)
+
+pipeline._run_group = hold
+os.cpu_count = lambda: 2
+config = types.SimpleNamespace(rows=[None, None])
+pipeline._run_groups([[0], [1]], config, [None, None], [], out)
+"""
+
+
+def _alive(pid):
+    """True while pid names a process that is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+def test_pool_workers_exit_when_their_parent_is_killed(tmp_path):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen([sys.executable, "-c", _HELD_POOL, str(tmp_path)], env=env)
+    workers = []
+    try:
+        deadline = time.monotonic() + 30
+        while len(workers) < 2 and time.monotonic() < deadline:
+            time.sleep(0.05)
+            workers = [int(p.name.split("-")[1]) for p in tmp_path.glob("worker-*")]
+        assert len(workers) == 2
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(10) == -signal.SIGTERM
+        deadline = time.monotonic() + 5
+        while any(map(_alive, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_alive, workers))
+    finally:
+        for pid in filter(_alive, workers):
+            os.kill(pid, signal.SIGKILL)
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+
+
 def test_run_experiment_dedups_duplicate_indomain(data_dir, tmp_path):
     corpus = rule_corpus(30, seed=9)
     doubled = corpus + corpus[:10]
@@ -784,6 +844,16 @@ def test_handle_request_success_shape(served_model):
     assert isinstance(obj["latency_ms"], float)
     assert obj["latency_ms"] >= 0.0
     assert "error" not in obj
+
+
+def test_response_encodes_each_label_as_its_name():
+    labels = list(PunctClass)
+    line = pipeline._encode_response({"id": "r", "labels": labels})
+    assert line == json.dumps(
+        {"id": "r", "labels": [lab.name for lab in labels]},
+        ensure_ascii=False,
+        separators=(",", ":"),
+    )
 
 
 def test_handle_request_error_paths(served_model):
