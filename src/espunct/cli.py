@@ -173,9 +173,12 @@ def _cmd_augment(args) -> int:
     grown = augment_to_distribution(
         source, target, _seed_override(args.seed), args.max_tokens
     )
+    # Every histogram is built before the first write, so a failed
+    # augment leaves no artifact behind.
+    before_after = (histogram(source), histogram(grown)) if args.report else None
     write_jsonl(grown, args.out)
-    if args.report:
-        write_histogram_report(target, histogram(source), histogram(grown), args.report)
+    if before_after:
+        write_histogram_report(target, *before_after, args.report)
     return 0
 
 

@@ -5,26 +5,24 @@ back in as a feature, so training updates on decode-time features rather
 than gold history.  Weights are averaged over every utterance-level
 snapshot, which is what makes the otherwise twitchy perceptron stable.
 
-Training and prediction share one decoder, `_decode`, which sums dense
-weight rows rather than looking up feature strings.  A dense row holds
-one weight per label, in `corpus.CLASS_ORDER`, and `_decode` adds it to
-nine running scores with a single unpack.  A `_RowCache` resolves each
-token type's rows (window slots, affixes, shape) once, and the `first`,
-`last` and `prev=` rows once per cache; only the two bigram rows are
-looked up at each position.  A model keeps its predict cache for as
-long as it keeps its weights dict.  It builds an immutable row the first
-time a feature with weights is resolved and keeps it, so the rows it
-holds never outnumber the model's features; features without weights
-add no row and are not kept.  A training phase holds its weights as
-mutable dense rows, where every resolved feature has a row (zeros until
-updated), so an update shows at the next position that sums it; its
-averaged weights are sparse again.  Rows are summed in template order,
-so scores are bit-for-bit those of `_feature_list`, which remains the
-readable definition of the templates: a mistake updates its strings, and
-tests hold the rows to it.  The zeros a dense row holds for labels its
-feature lacks change no score: `x + 0.0 == x` bit for bit for every x
-but -0.0, and a score starts at +0.0, so it is never -0.0 (only
--0.0 + -0.0 is).
+Weights are dense rows: a feature's row holds one weight per label, in
+`corpus.CLASS_ORDER`.  A model holds them as tuples, which predict sums
+as they are; a training phase holds them as lists, which it updates in
+place, so an update shows at the next position that sums the row.  Only
+the model file is sparse: it lists each row's non-zero weights.
+
+Training and prediction share one decoder, `_decode`, which sums rows
+rather than looking up feature strings, adding each to nine running
+scores with a single unpack.  A `_RowCache` resolves each token type's
+rows (window slots, affixes, shape) once, and the `first`, `last` and
+`prev=` rows once per cache; only the two bigram rows are looked up at
+each position.  A model keeps its predict cache for as long as it keeps
+its weights dict.  Rows are summed in template order, so scores are
+bit-for-bit those of `_feature_list`, which remains the readable
+definition of the templates: a mistake updates its strings, and tests
+hold the rows to it.  The zeros a row holds for labels its feature lacks
+change no score: `x + 0.0 == x` bit for bit for every x but -0.0, and a
+score starts at +0.0, so it is never -0.0 (only -0.0 + -0.0 is).
 
 The label inventory is fixed: a label's index is its position in
 `corpus.CLASS_ORDER`, and every model file lists those nine names in
@@ -147,25 +145,16 @@ def _feature_list(
     return feats
 
 
-# A feature's dense row as found in a _RowCache: () when predict found
-# no row or an empty one, else (row,).  A training row is the phase's
-# own list, so an update to it shows at the next position that sums it.
+# A feature's row as found in a _RowCache: () when it has none, else
+# (row,).  A training row is the phase's own list, so an update to it
+# shows at the next position that sums it.
 _Rows = tuple
-
-
-def _dense(row: dict[int, float]) -> list[float]:
-    """A sparse {label index: weight} row as one weight per label."""
-    values = [0.0] * _WIDTH
-    for li, w in row.items():
-        values[li] = w
-    return values
 
 # A _RowCache's token types start over when it holds this many.  An
 # entry whose type has every row measured about 0.57 KB, and a full set
-# of entries 28 MB.  Entries keep their token, so longer tokens are built
-# but not cached.  Predict's dense rows are kept apart from the entries
-# and are not cleared with them: about 200 B per feature ever resolved,
-# at most one per model feature (56 MB for 284,583 rows).
+# of entries 28 MB, which is all a predict cache holds: its rows are the
+# model's own.  Entries keep their token, so longer tokens are built but
+# not cached.
 _MAX_CACHED_TYPES = 50_000
 _MAX_CACHED_CHARS = 64
 
@@ -196,52 +185,36 @@ class _TokenFeatures:
 
 
 class _RowCache:
-    """Dense feature rows of one weights dict, resolved once per token type.
+    """Feature rows of one weights dict, resolved once per token type.
 
-    For predict (create=False), weights is the model's sparse dict, which
-    predict never writes.  The cache keeps an immutable dense row for each
-    feature whose row is non-empty, built the first time it is resolved;
-    a feature without one has no rows and is not kept.  For training
-    (create=True), weights is the phase's dict of dense lists: every
-    resolved feature gets a row, zeros if missing, so updates land in the
-    rows the cache hands out.  The wb-1/wb+1 bigrams are not cached per
-    token type; _decode resolves them with bigram at each position, which
-    makes no training row (a mistake does).
+    For predict (create=False), weights is the model's dict of tuples,
+    which predict never writes, and a feature missing from it has no
+    rows.  For training (create=True), weights is the phase's dict of
+    lists: every resolved feature gets a row, zeros if missing, so updates
+    land in the rows the cache hands out.  The wb-1/wb+1 bigrams are not
+    cached per token type; _decode resolves them with bigram at each
+    position, which makes no training row (a mistake does).
     """
 
     __slots__ = ("weights", "row", "bigram", "entries", "bos", "eos", "first", "last", "prev")
 
     def __init__(self, weights: dict, create: bool):
-        if create:
-            dense = weights
+        get = weights.get
 
-            def row(feature: str) -> _Rows:
-                found = dense.get(feature)
-                if found is None:
-                    found = dense[feature] = [0.0] * _WIDTH
-                return (found,)
+        def lookup(feature: str) -> _Rows:
+            found = get(feature)
+            return () if found is None else (found,)
 
-            def bigram(feature: str) -> _Rows:
-                found = dense.get(feature)
-                return () if found is None else (found,)
-        else:
-            dense = {}
-            get = weights.get
+        def lookup_or_add(feature: str) -> _Rows:
+            found = get(feature)
+            if found is None:
+                found = weights[feature] = [0.0] * _WIDTH
+            return (found,)
 
-            def row(feature: str) -> _Rows:
-                found = dense.get(feature)
-                if found is None:
-                    sparse = get(feature)
-                    if not sparse:
-                        return ()
-                    # Threads may race here; each builds an equal tuple.
-                    found = dense[feature] = tuple(_dense(sparse))
-                return (found,)
-
-            bigram = row
+        row = lookup_or_add if create else lookup
         self.weights = weights
         self.row = row
-        self.bigram = bigram
+        self.bigram = lookup
         self.entries: dict[str, _TokenFeatures] = {}
         # Padding for the window; only word and the window slots are read.
         self.bos = _TokenFeatures(_BOS_WORD, row)
@@ -355,15 +328,16 @@ def _checked_weight(feature: str, raw: object) -> float:
 
 @dataclass
 class TaggerModel:
-    """Trained tagger: sparse weights and the phases that made them.
+    """Trained tagger: weight rows and the phases that made them.
 
-    weights maps feature string -> {label index -> weight}; indices point
-    into CLASS_ORDER.  Files always carry DEFAULT_LABEL_SET,
-    FEATURE_TEMPLATES and MODEL_FORMAT_VERSION, and load refuses any
-    others.  training_log records each training phase in order.
+    weights maps feature string -> a tuple of _WIDTH weights, one per
+    label in CLASS_ORDER.  The file lists each row's non-zero weights by
+    label name; it always carries DEFAULT_LABEL_SET, FEATURE_TEMPLATES and
+    MODEL_FORMAT_VERSION, and load refuses any others.  training_log
+    records each training phase in order.
     """
 
-    weights: dict[str, dict[int, float]] = field(default_factory=dict)
+    weights: dict[str, tuple[float, ...]] = field(default_factory=dict)
     training_log: list[dict] = field(default_factory=list)
     _rows: _RowCache | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -390,7 +364,7 @@ class TaggerModel:
             "label_set": list(DEFAULT_LABEL_SET),
             "feature_templates": list(FEATURE_TEMPLATES),
             "weights": {
-                f: {DEFAULT_LABEL_SET[li]: w for li, w in sorted(row.items())}
+                f: {DEFAULT_LABEL_SET[li]: w for li, w in enumerate(row) if w}
                 for f, row in self.weights.items()
             },
             "training_log": self.training_log,
@@ -419,13 +393,14 @@ class TaggerModel:
             raw_weights = obj["weights"]
             if not isinstance(raw_weights, dict):
                 raise ModelLoadError("model weights are not a JSON object")
-            weights: dict[str, dict[int, float]] = {}
+            weights: dict[str, tuple[float, ...]] = {}
             for f, row in raw_weights.items():
                 if not isinstance(row, dict):
                     raise ModelLoadError(f"weights for {f!r} are not a JSON object")
-                weights[f] = {
-                    CLASS_INDEX[name]: _checked_weight(f, w) for name, w in row.items()
-                }
+                values = [0.0] * _WIDTH
+                for name, w in row.items():
+                    values[CLASS_INDEX[name]] = _checked_weight(f, w)
+                weights[f] = tuple(values)
             log = obj["training_log"]
             if not isinstance(log, list) or not all(isinstance(e, dict) for e in log):
                 raise ModelLoadError("training_log is not a list of JSON objects")
@@ -450,12 +425,12 @@ class _Averager:
 
     Snapshots conceptually happen after every utterance; instead of
     materializing them, each weight accumulates value * ticks-held
-    lazily on change and once more at flush.  weights holds a dense copy
-    of the initial weights, which the phase updates in place.
+    lazily on change and once more at flush.  weights holds a list copy
+    of each initial row, which the phase updates in place.
     """
 
-    def __init__(self, initial: dict[str, dict[int, float]]):
-        self.weights = {f: _dense(row) for f, row in initial.items()}
+    def __init__(self, initial: dict[str, tuple[float, ...]]):
+        self.weights = {f: list(row) for f, row in initial.items()}
         self._totals: dict[str, dict[int, float]] = {}
         self._stamps: dict[str, dict[int, int]] = {}
 
@@ -482,34 +457,30 @@ class _Averager:
             srow[guess] = held
             row[guess] = value - 1.0
 
-    def averaged(self, ticks: int) -> dict[str, dict[int, float]]:
-        """Sparse averaged rows; zero weights and all-zero rows are left out."""
-        out: dict[str, dict[int, float]] = {}
+    def averaged(self, ticks: int) -> dict[str, tuple[float, ...]]:
+        """Averaged rows; rows with no non-zero weight are left out."""
+        out: dict[str, tuple[float, ...]] = {}
         for f, row in self.weights.items():
             srow = self._stamps.get(f, {})
             if not (srow or any(row)):
                 continue  # zeros the phase never updated
             trow = self._totals.get(f, {})
-            arow = {}
-            for li, value in enumerate(row):
-                if li in srow:
-                    avg = (trow[li] + (ticks - srow[li]) * value) / ticks
-                else:
-                    # Never updated this phase: the average of a constant
-                    # is the constant, bit for bit.
-                    avg = value
-                if avg != 0.0:
-                    arow[li] = avg
-            if arow:
+            # A weight never updated this phase keeps its value: the
+            # average of a constant is the constant, bit for bit.
+            arow = tuple(
+                (trow[li] + (ticks - srow[li]) * value) / ticks if li in srow else value
+                for li, value in enumerate(row)
+            )
+            if any(arow):
                 out[f] = arow
         return out
 
 
 def _run_phase(
-    initial: dict[str, dict[int, float]],
+    initial: dict[str, tuple[float, ...]],
     corpus: Sequence[LabeledUtterance],
     config: TrainConfig,
-) -> dict[str, dict[int, float]]:
+) -> dict[str, tuple[float, ...]]:
     """One training phase; returns averaged weights."""
     avg = _Averager(initial)
     rng = random.Random(config.seed)

@@ -139,6 +139,22 @@ def test_failed_select_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_failed_augment_writes_nothing(tmp_path, capsys):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("", encoding="utf-8")
+    target = tmp_path / "target.jsonl"
+    write_jsonl([lu("una frase aquí", "N N P")], target)
+    out, report = tmp_path / "grown.jsonl", tmp_path / "hist.tsv"
+    code = main([
+        "augment", "--source", str(empty), "--target-corpus", str(target),
+        "--out", str(out), "--report", str(report),
+    ])
+    assert code == 3
+    assert "no utterances" in capsys.readouterr().err
+    assert not report.exists()
+    assert not out.exists()
+
+
 def test_augment_matches_target_and_reports(tmp_path):
     singles = tmp_path / "singles.jsonl"
     write_jsonl(

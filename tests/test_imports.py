@@ -10,13 +10,15 @@ name or as an attribute, so no helper outlives its last caller.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
 import espunct
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "espunct"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "espunct"
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -102,3 +104,40 @@ def test_the_check_sees_an_unread_private_name():
 
 def test_every_public_name_exists():
     assert [name for name in espunct.__all__ if not hasattr(espunct, name)] == []
+
+
+def _wrapped_names(source: str) -> list[tuple[str, str]]:
+    """(module, name) for every name bench/worker.py's install_tracer
+    wraps: its tuples of names, looked up in espunct.cli and (for grid)
+    espunct.pipeline, and each wrap call given literal strings."""
+    tree = ast.parse(source)
+    tuples = {
+        t.id: ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        for t in node.targets
+        if isinstance(t, ast.Name) and t.id in ("_SHARED_NAMES", "_PIPELINE_ONLY")
+    }
+    shared, pipeline_only = tuples["_SHARED_NAMES"], tuples["_PIPELINE_ONLY"]
+    wanted = [("espunct.cli", name) for name in shared]
+    wanted += [("espunct.pipeline", name) for name in shared + pipeline_only]
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "wrap"
+            and len(node.args) >= 2
+            and all(isinstance(a, ast.Constant) for a in node.args[:2])
+        ):
+            wanted.append((node.args[0].value, node.args[1].value))
+    return wanted
+
+
+def test_every_name_the_benchmark_wraps_exists():
+    # A traced benchmark run replaces each name where its caller looks it
+    # up, and fails if the caller no longer imports it.
+    wanted = _wrapped_names((ROOT / "bench" / "worker.py").read_text(encoding="utf-8"))
+    assert ("espunct.evaluate", "repair_pairing") in wanted
+    assert ("espunct.pipeline", "run_strategy") in wanted
+    missing = [f"{m}.{n}" for m, n in wanted if not hasattr(importlib.import_module(m), n)]
+    assert missing == []

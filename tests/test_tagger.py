@@ -123,6 +123,17 @@ def _template_cases():
     return [mixed, short, ("y", "OK", "3,5", "a"), ("Ok",)]
 
 
+def _row(weights):
+    """A dense row from {label index: weight}."""
+    return tuple(weights.get(li, 0.0) for li in range(tagger._WIDTH))
+
+
+def _sparse(weights):
+    """Dense weights as {feature: {label index: weight}} of each row's
+    non-zero weights; a row with none becomes {}."""
+    return {f: {li: w for li, w in enumerate(row) if w} for f, row in weights.items()}
+
+
 def test_static_features_match_template_definition():
     cases = _template_cases()
     assert any(len(t) == 1 for case in cases for t in case)
@@ -133,11 +144,12 @@ def test_static_features_match_template_definition():
     # each row in place; the rows cached before must show the marks.
     for k, row in enumerate(weights.values()):
         row[k % len(row)] = float(k + 1)
-    # Predict reads sparse rows and leaves out absent and empty ones.
+    # Predict sums the model's own rows, all-zero ones too, and has none
+    # for absent features.
     kept = {}
     for k, (f, row) in enumerate(weights.items()):
         if k % 3:
-            kept[f] = dict(enumerate(row)) if k % 2 else {}
+            kept[f] = tuple(row) if k % 2 else _row({})
     predicting = _RowCache(kept, create=False)
     for tokens, static in zip(cases, statics):
         lowered = [t.lower() for t in tokens]
@@ -148,23 +160,26 @@ def test_static_features_match_template_definition():
                 feats = _feature_list(tokens, i, prev, lowered)
                 for cache, positions, want in (
                     (training, static, [weights[f] for f in feats[:-2]]),
-                    (predicting, fresh, [tuple(weights[f]) for f in feats[:-2] if kept.get(f)]),
+                    (predicting, fresh, [kept[f] for f in feats[:-2] if f in kept]),
                 ):
                     head, tail, bigrams = positions[i]
                     rows = list(head + cache.prev[li] + tail)
                     assert rows == want, (tokens, i, prev)
+                    assert all(got is row for got, row in zip(rows, want)), (tokens, i, prev)
                     assert bigrams == tuple(feats[-2:]), (tokens, i, prev)
 
 
 def _reference_predict(model, tokens):
-    """The greedy decoder written directly against _feature_list."""
+    """The greedy decoder written directly against _feature_list, where
+    each feature adds only its non-zero weights."""
+    weights = _sparse(model.weights)
     lowered = [t.lower() for t in tokens]
     prev = "<start>"
     out = []
     for i in range(len(tokens)):
         scores = [0.0] * len(DEFAULT_LABEL_SET)
         for f in _feature_list(tokens, i, prev, lowered):
-            for li, w in model.weights.get(f, {}).items():
+            for li, w in weights.get(f, {}).items():
                 scores[li] += w
         best = 0
         for li in range(1, len(scores)):
@@ -198,7 +213,11 @@ def test_scores_sum_in_template_order():
     for j in range(1, len(feats)):
         for k in range(j + 1, len(feats)):
             model = TaggerModel(
-                weights={feats[0]: {0: 0.5, 1: big}, feats[j]: {1: 1.0}, feats[k]: {1: -big}}
+                weights={
+                    feats[0]: _row({0: 0.5, 1: big}),
+                    feats[j]: _row({1: 1.0}),
+                    feats[k]: _row({1: -big}),
+                }
             )
             assert model.predict(tokens) == [PunctClass.NONE], (feats[j], feats[k])
 
@@ -237,7 +256,7 @@ def test_every_label_fits_the_decoders_row_width():
     # would fail to unpack, or be left out of the scores.
     assert len(CLASS_ORDER) == len(DEFAULT_LABEL_SET) == tagger._WIDTH
     for li, label in enumerate(CLASS_ORDER):
-        model = TaggerModel(weights={"w0=a": {li: 1.0}})
+        model = TaggerModel(weights={"w0=a": _row({li: 1.0})})
         assert model.predict(["a"]) == [label]
         trained = train([LabeledUtterance(("a",), (label,))], TrainConfig(epochs=1))
         assert trained.predict(["a"]) == [label]
@@ -306,13 +325,14 @@ def test_replacing_weights_drops_the_predict_cache():
 
 def test_predict_never_writes_to_the_model(tmp_path):
     model, utterances = _served_model_and_utterances()
-    assert all(model.weights.values())
+    assert all(any(row) for row in model.weights.values())
     model.save(tmp_path / "before.json")
-    keys = set(model.weights)
+    rows = dict(model.weights)
     for u in utterances:
         model.predict(u.tokens)
         model.predict([t.upper() + "x" for t in u.tokens])
-    assert set(model.weights) == keys
+    assert model.weights.keys() == rows.keys()
+    assert all(model.weights[f] is row for f, row in rows.items())
     model.save(tmp_path / "after.json")
     assert (tmp_path / "after.json").read_bytes() == (tmp_path / "before.json").read_bytes()
 
@@ -333,7 +353,9 @@ def test_trained_models_hold_no_empty_row():
     model = train(bench.es_train, TrainConfig(epochs=2, seed=0))
     grown = continue_train(model, bench.en, TrainConfig(epochs=1, seed=1))
     for m in (model, grown):
-        assert m.weights and all(m.weights.values())
+        assert m.weights
+        for row in m.weights.values():
+            assert type(row) is tuple and len(row) == tagger._WIDTH and any(row), row
 
 
 # ---------------------------------------------------------------- decoding
@@ -353,7 +375,7 @@ def test_predict_rejects_empty_input():
 def test_forced_weights_drive_prediction():
     model = TaggerModel()
     li = DEFAULT_LABEL_SET.index("PERIOD")
-    model.weights["last"] = {li: 5.0}
+    model.weights["last"] = _row({li: 5.0})
     assert model.predict(["a", "b"]) == [PunctClass.NONE, PunctClass.PERIOD]
 
 
@@ -413,7 +435,7 @@ def test_averaged_weights_match_snapshot_reference(seed, shuffle):
     corpus = rule_corpus(40, seed=seed + 100)
     config = TrainConfig(epochs=3, seed=seed, shuffle=shuffle)
     model = train(corpus, config)
-    assert model.weights == _naive_train(corpus, config)
+    assert _sparse(model.weights) == _naive_train(corpus, config)
 
 
 def _snapshot_continue(initial, corpus, config):
@@ -428,7 +450,7 @@ def _snapshot_continue(initial, corpus, config):
     changed keeps its value."""
     index = {name: li for li, name in enumerate(DEFAULT_LABEL_SET)}
     nlabels = len(DEFAULT_LABEL_SET)
-    weights = {f: dict(row) for f, row in initial.items()}
+    weights = _sparse(initial)
     runs = {}
     rng = random.Random(config.seed)
     order = list(range(len(corpus)))
@@ -487,13 +509,11 @@ def _with_cancelling_offset(weights, corpus, big):
     every label of each shape= row that corpus reaches.  Each position sums
     one prev= row and one shape= row, so scores are unchanged in exact
     arithmetic, but how they round depends on the order rows are summed."""
-    out = {f: dict(row) for f, row in weights.items()}
+    out = dict(weights)
     offsets = [("prev=" + name, big) for name in _PREV_LABELS]
     offsets += [("shape=" + s, -big) for s in {_word_shape(t) for u in corpus for t in u.tokens}]
     for f, step in offsets:
-        row = out.setdefault(f, {})
-        for li in range(len(DEFAULT_LABEL_SET)):
-            row[li] = row.get(li, 0.0) + step
+        out[f] = tuple(w + step for w in out.get(f, _row({})))
     return out
 
 
@@ -505,12 +525,12 @@ def test_continued_weights_match_snapshot_reference(seed, shuffle, offset):
         pool_alien=1, en_size=40,
     )
     model = train(bench.es_train, TrainConfig(epochs=2, seed=seed))
-    assert any(w != int(w) for row in model.weights.values() for w in row.values())
+    assert any(w != int(w) for row in model.weights.values() for w in row)
     if offset:
         model.weights = _with_cancelling_offset(model.weights, bench.en, 2.0**52)
     config = TrainConfig(epochs=2, seed=seed + 1, shuffle=shuffle)
     grown = continue_train(model, bench.en, config)
-    assert grown.weights == _snapshot_continue(model.weights, bench.en, config)
+    assert _sparse(grown.weights) == _snapshot_continue(model.weights, bench.en, config)
 
 
 # ----------------------------------------------------------- learnability
@@ -602,6 +622,49 @@ def test_save_load_round_trip(tmp_path):
     assert back.predict(probe) == model.predict(probe)
 
 
+def test_save_load_save_is_byte_identical(tmp_path):
+    bench = transfer_benchmark(
+        7, es_train_size=60, es_test_size=1, ldc_size=1, pool_good=1,
+        pool_alien=1, en_size=40,
+    )
+    model = train(bench.es_train, TrainConfig(epochs=2, seed=0))
+    grown = continue_train(model, bench.en, TrainConfig(epochs=1, seed=1))
+    for name, m in (("trained", model), ("continued", grown)):
+        first, second = tmp_path / f"{name}-1.json", tmp_path / f"{name}-2.json"
+        m.save(first)
+        TaggerModel.load(first).save(second)
+        assert second.read_bytes() == first.read_bytes(), name
+
+
+def test_explicit_zero_weights_and_empty_rows_load_and_save_back_without_them(tmp_path):
+    # A hand-written file may list 0.0 and -0.0 weights and empty rows.
+    # They load as zeros, which change no score, and save leaves them out;
+    # a row with no non-zero weight is written back as {}.
+    tokens = ["hola", "qué", "tal"]
+    path = tmp_path / "hand.json"
+    obj = TaggerModel().to_json_dict()
+    obj["weights"] = {
+        "w0=hola": {"NONE": 0.0, "COMMA": 1.5, "PERIOD": -0.0},
+        "w0=tal": {"PERIOD": 2.0, "NONE": -0.0},
+        "first": {"NONE": -0.0, "COMMA": 0.0},
+        "last": {},
+        "prev=COMMA": {"NONE": 0.0, "OPEN_QUESTION": -0.0},
+    }
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    model = TaggerModel.load(path)
+    want = [PunctClass.COMMA, PunctClass.NONE, PunctClass.PERIOD]
+    assert model.predict(tokens) == _reference_predict(model, tokens) == want
+    model.save(path)
+    assert json.loads(path.read_text(encoding="utf-8"))["weights"] == {
+        "w0=hola": {"COMMA": 1.5},
+        "w0=tal": {"PERIOD": 2.0},
+        "first": {},
+        "last": {},
+        "prev=COMMA": {},
+    }
+    assert TaggerModel.load(path).predict(tokens) == want
+
+
 def test_save_unwritable_path():
     with pytest.raises(IoFailure):
         TaggerModel().save("/nonexistent-dir/model.json")
@@ -660,7 +723,7 @@ def test_continue_train_keeps_untouched_weights_verbatim():
     first = [lu("hola buenos días", "N N P") for _ in range(30)]
     second = [lu("ya veremos mañana", "N N P") for _ in range(30)]
     model = train(first, TrainConfig(epochs=3, seed=0))
-    before = {f: dict(row) for f, row in model.weights.items()}
+    before = dict(model.weights)
 
     grown = continue_train(model, second, TrainConfig(epochs=3, seed=1))
     # the input model is untouched
