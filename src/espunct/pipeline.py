@@ -280,7 +280,11 @@ def config_from_dict(
         train_seed = augmentation_seed = split_seed = seed_override
 
     output_dir = obj.get("output_dir")
-    _require(isinstance(output_dir, str) and output_dir != "", "output_dir is required")
+    _require(output_dir is not None, "output_dir is required")
+    _require(
+        isinstance(output_dir, str) and output_dir != "",
+        "output_dir must be a non-empty path string",
+    )
 
     return ExperimentConfig(
         es_indomain=es_indomain,

@@ -17,12 +17,14 @@ scores with a single unpack.  A `_RowCache` resolves each token type's
 rows (window slots, affixes, shape) once, and the `first`, `last` and
 `prev=` rows once per cache; only the two bigram rows are looked up at
 each position.  A model keeps its predict cache for as long as it keeps
-its weights dict.  Rows are summed in template order, so scores are
-bit-for-bit those of `_feature_list`, which remains the readable
-definition of the templates: a mistake updates its strings, and tests
-hold the rows to it.  The zeros a row holds for labels its feature lacks
-change no score: `x + 0.0 == x` bit for bit for every x but -0.0, and a
-score starts at +0.0, so it is never -0.0 (only -0.0 + -0.0 is).
+its weights dict.  Rows are summed in the order of FEATURE_TEMPLATES, so
+scores are bit-for-bit those of summing each feature string's weights in
+that order, the string form of the templates the tests hold the rows to.
+A mistake updates the rows the decoder has just summed, in place.  The
+zeros a row holds for labels its feature lacks, and the zero row summed
+for an absent bigram, change no score: `x + 0.0 == x` bit for bit for
+every x but -0.0, and a score starts at +0.0, so it is never -0.0 (only
+-0.0 + -0.0 is).
 
 The label inventory is fixed: a label's index is its position in
 `corpus.CLASS_ORDER`, and every model file lists those nine names in
@@ -83,6 +85,8 @@ _BOS_LABEL = "<start>"
 _PREV_LABELS = DEFAULT_LABEL_SET + (_BOS_LABEL,)
 # Slots in a dense weight row, one per label; _decode unpacks this many.
 _WIDTH = len(CLASS_ORDER)
+# The row _decode sums for an absent bigram.
+_ZEROS = (0.0,) * _WIDTH
 
 
 def _word_shape(token: str) -> str:
@@ -102,57 +106,14 @@ def _word_shape(token: str) -> str:
     return "".join(out)
 
 
-def _feature_list(
-    tokens: Sequence[str],
-    i: int,
-    prev_label: str,
-    lowered: Sequence[str],
-) -> list[str]:
-    """Feature strings for position i, in fixed template order.
-
-    The fixed order matters: training and scoring must sum weights in
-    the same sequence for runs to be bit-for-bit reproducible.
-    """
-    n = len(tokens)
-
-    def word(j: int) -> str:
-        if j < 0:
-            return _BOS_WORD
-        if j >= n:
-            return _EOS_WORD
-        return lowered[j]
-
-    w = lowered[i]
-    feats = [
-        "w-2=" + word(i - 2),
-        "w-1=" + word(i - 1),
-        "w0=" + w,
-        "w+1=" + word(i + 1),
-        "w+2=" + word(i + 2),
-    ]
-    for length in (1, 2, 3):
-        if length <= len(w):
-            feats.append(f"pre{length}=" + w[:length])
-            feats.append(f"suf{length}=" + w[-length:])
-    if i == 0:
-        feats.append("first")
-    if i == n - 1:
-        feats.append("last")
-    feats.append("prev=" + prev_label)
-    feats.append("shape=" + _word_shape(tokens[i]))
-    feats.append("wb-1=" + word(i - 1) + "|" + w)
-    feats.append("wb+1=" + w + "|" + word(i + 1))
-    return feats
-
-
 # A feature's row as found in a _RowCache: () when it has none, else
 # (row,).  A training row is the phase's own list, so an update to it
 # shows at the next position that sums it.
 _Rows = tuple
 
 # A _RowCache's token types start over when it holds this many.  An
-# entry whose type has every row measured about 0.57 KB, and a full set
-# of entries 28 MB, which is all a predict cache holds: its rows are the
+# entry whose type has every row measured about 0.69 KB, and a full set
+# of entries 34 MB, which is all a predict cache holds: its rows are the
 # model's own.  Entries keep their token, so longer tokens are built but
 # not cached.
 _MAX_CACHED_TYPES = 50_000
@@ -163,14 +124,18 @@ class _TokenFeatures:
     """Weight rows of the features that depend only on one token type.
 
     The window slots (m2 ... p2) are the rows this token contributes
-    when it sits at that offset from the position being decoded.
+    when it sits at that offset from the position being decoded.  wbm1
+    and wbp1 are the wb-1 and wb+1 keys with this token as the left word,
+    less the right word.
     """
 
-    __slots__ = ("word", "m2", "m1", "w0", "p1", "p2", "affixes", "shape")
+    __slots__ = ("word", "wbm1", "wbp1", "m2", "m1", "w0", "p1", "p2", "affixes", "shape")
 
     def __init__(self, token: str, row: Callable[[str], _Rows]):
         w = token.lower()
         self.word = w
+        self.wbm1 = "wb-1=" + w + "|"
+        self.wbp1 = "wb+1=" + w + "|"
         self.m2 = row("w-2=" + w)
         self.m1 = row("w-1=" + w)
         self.w0 = row("w0=" + w)
@@ -192,11 +157,11 @@ class _RowCache:
     rows.  For training (create=True), weights is the phase's dict of
     lists: every resolved feature gets a row, zeros if missing, so updates
     land in the rows the cache hands out.  The wb-1/wb+1 bigrams are not
-    cached per token type; _decode resolves them with bigram at each
-    position, which makes no training row (a mistake does).
+    cached per token type; _decode looks them up in weights at each
+    position, which makes no training row (a mistake makes them with row).
     """
 
-    __slots__ = ("weights", "row", "bigram", "entries", "bos", "eos", "first", "last", "prev")
+    __slots__ = ("weights", "row", "entries", "bos", "eos", "first", "last", "prev")
 
     def __init__(self, weights: dict, create: bool):
         get = weights.get
@@ -214,9 +179,8 @@ class _RowCache:
         row = lookup_or_add if create else lookup
         self.weights = weights
         self.row = row
-        self.bigram = lookup
         self.entries: dict[str, _TokenFeatures] = {}
-        # Padding for the window; only word and the window slots are read.
+        # Padding for the window; only word, wbm1 and the window slots are read.
         self.bos = _TokenFeatures(_BOS_WORD, row)
         self.eos = _TokenFeatures(_EOS_WORD, row)
         self.first = row("first")
@@ -232,8 +196,8 @@ def _static_features(tokens: Sequence[str], cache: _RowCache) -> _Static:
     """Per position, the rows of every feature but prev= and the bigrams.
 
     Each position is (head, tail, bigrams): head + cache.prev[label] +
-    tail, then the rows of the two bigram strings, are the rows of
-    _feature_list(...) for that position, in its order.
+    tail, then the rows of the two bigram keys, are the rows of that
+    position's features in template order.
     """
     entries = cache.entries
     window = [cache.bos, cache.bos]
@@ -256,8 +220,7 @@ def _static_features(tokens: Sequence[str], cache: _RowCache) -> _Static:
             head += cache.first
         if i == last:
             head += cache.last
-        w = cur.word
-        out.append((head, cur.shape, ("wb-1=" + m1.word + "|" + w, "wb+1=" + w + "|" + p1.word)))
+        out.append((head, cur.shape, (m1.wbm1 + cur.word, cur.wbp1 + p1.word)))
     return out
 
 
@@ -265,24 +228,25 @@ def _decode(
     cache: _RowCache,
     tokens: Sequence[str],
     gold: Sequence[int] | None = None,
-    on_mistake: Callable[[list[str], int, int], None] | None = None,
+    on_mistake: Callable[[_Rows, int, int], None] | None = None,
 ) -> list[int]:
     """Greedy left-to-right decode; returns label indices.
 
     Ties go to the earliest label.  Each dense row is added to the nine
     scores with one unpack, rows in template order, so results are
-    bit-for-bit those of _feature_list.  Given gold indices, every wrong
-    guess calls on_mistake(feats, gold, guess) with that position's
-    _feature_list; decoding continues from the guess, so training sees
-    its own history.
+    bit-for-bit those of summing the features' weights in that order; an
+    absent bigram adds a row of zeros.  Given gold indices, every wrong
+    guess calls on_mistake(rows, gold, guess) with the rows just summed,
+    the bigrams' made by cache.row if absent; decoding continues from the
+    guess, so training sees its own history.
     """
-    bigram = cache.bigram
+    get = cache.weights.get
+    row = cache.row
     prev_rows = cache.prev
     prev = -1
-    lowered = None
     out = []
     for i, (head, tail, (before, after)) in enumerate(_static_features(tokens, cache)):
-        rows = head + prev_rows[prev] + tail + bigram(before) + bigram(after)
+        rows = head + prev_rows[prev] + tail + (get(before, _ZEROS), get(after, _ZEROS))
         s0 = s1 = s2 = s3 = s4 = s5 = s6 = s7 = s8 = 0.0
         for w0, w1, w2, w3, w4, w5, w6, w7, w8 in rows:
             s0 += w0
@@ -298,9 +262,7 @@ def _decode(
         # max keeps its first strict maximum, the same as a `>` scan.
         best = scores.index(max(scores))
         if gold is not None and best != gold[i]:
-            if lowered is None:
-                lowered = [t.lower() for t in tokens]
-            on_mistake(_feature_list(tokens, i, _PREV_LABELS[prev], lowered), gold[i], best)
+            on_mistake(rows[:-2] + row(before) + row(after), gold[i], best)
         prev = best
         out.append(best)
     return out
@@ -404,6 +366,10 @@ class TaggerModel:
             log = obj["training_log"]
             if not isinstance(log, list) or not all(isinstance(e, dict) for e in log):
                 raise ModelLoadError("training_log is not a list of JSON objects")
+            # What loads must save: a JSON escape such as \ud800 decodes to
+            # a lone surrogate, which UTF-8 cannot encode.
+            "".join(weights).encode("utf-8")
+            json.dumps(log, ensure_ascii=False).encode("utf-8")
             return cls(weights=weights, training_log=log)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ModelLoadError(f"model file is malformed: {exc}") from exc
@@ -426,51 +392,50 @@ class _Averager:
     Snapshots conceptually happen after every utterance; instead of
     materializing them, each weight accumulates value * ticks-held
     lazily on change and once more at flush.  weights holds a list copy
-    of each initial row, which the phase updates in place.
+    of each initial row, which the phase updates in place.  A row's
+    totals and stamps are two _WIDTH-slot lists keyed by the row's id:
+    a row stays in weights for the whole phase, so its id is never
+    reused.  A stamp of None marks a weight the phase never updated.
     """
 
     def __init__(self, initial: dict[str, tuple[float, ...]]):
         self.weights = {f: list(row) for f, row in initial.items()}
-        self._totals: dict[str, dict[int, float]] = {}
-        self._stamps: dict[str, dict[int, int]] = {}
+        self._books: dict[int, tuple[list[float], list[int | None]]] = {}
 
-    def mistake(self, feats: Sequence[str], gold: int, guess: int, tick: int) -> None:
-        """+1 for gold and -1 for guess on every feature, at utterance tick."""
+    def mistake(self, rows: _Rows, gold: int, guess: int, tick: int) -> None:
+        """+1 for gold and -1 for guess on every row, at utterance tick."""
         held = tick - 1
-        weights, totals, stamps = self.weights, self._totals, self._stamps
-        for f in feats:
-            row = weights.get(f)
-            if row is None:
-                row = weights[f] = [0.0] * _WIDTH
-            trow = totals.get(f)
-            if trow is None:
-                trow = totals[f] = {}
-                srow = stamps[f] = {}
-            else:
-                srow = stamps[f]
+        books = self._books
+        for row in rows:
+            book = books.get(id(row))
+            if book is None:
+                book = books[id(row)] = ([0.0] * _WIDTH, [None] * _WIDTH)
+            totals, stamps = book
             value = row[gold]
-            trow[gold] = trow.get(gold, 0.0) + (held - srow.get(gold, 0)) * value
-            srow[gold] = held
+            totals[gold] += (held - (stamps[gold] or 0)) * value
+            stamps[gold] = held
             row[gold] = value + 1.0
             value = row[guess]
-            trow[guess] = trow.get(guess, 0.0) + (held - srow.get(guess, 0)) * value
-            srow[guess] = held
+            totals[guess] += (held - (stamps[guess] or 0)) * value
+            stamps[guess] = held
             row[guess] = value - 1.0
 
     def averaged(self, ticks: int) -> dict[str, tuple[float, ...]]:
         """Averaged rows; rows with no non-zero weight are left out."""
         out: dict[str, tuple[float, ...]] = {}
+        books = self._books
         for f, row in self.weights.items():
-            srow = self._stamps.get(f, {})
-            if not (srow or any(row)):
-                continue  # zeros the phase never updated
-            trow = self._totals.get(f, {})
-            # A weight never updated this phase keeps its value: the
-            # average of a constant is the constant, bit for bit.
-            arow = tuple(
-                (trow[li] + (ticks - srow[li]) * value) / ticks if li in srow else value
-                for li, value in enumerate(row)
-            )
+            book = books.get(id(row))
+            if book is None:
+                # A row the phase never updated keeps its values: the
+                # average of a constant is the constant, bit for bit.
+                arow = tuple(row)
+            else:
+                totals, stamps = book
+                arow = tuple(
+                    value if stamp is None else (total + (ticks - stamp) * value) / ticks
+                    for value, total, stamp in zip(row, totals, stamps)
+                )
             if any(arow):
                 out[f] = arow
         return out
@@ -485,20 +450,16 @@ def _run_phase(
     avg = _Averager(initial)
     rng = random.Random(config.seed)
     order = list(range(len(corpus)))
+    # Exact-size tuples, which CPython can take from its free lists.
+    golds = [tuple([CLASS_INDEX[lab] for lab in u.labels]) for u in corpus]
     cache = _RowCache(avg.weights, create=True)
     tick = 0
     for _ in range(config.epochs):
         if config.shuffle:
             rng.shuffle(order)
         for ci in order:
-            u = corpus[ci]
             tick += 1
-            _decode(
-                cache,
-                u.tokens,
-                gold=[CLASS_INDEX[lab] for lab in u.labels],
-                on_mistake=partial(avg.mistake, tick=tick),
-            )
+            _decode(cache, corpus[ci].tokens, golds[ci], partial(avg.mistake, tick=tick))
     return avg.averaged(tick)
 
 

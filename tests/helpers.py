@@ -1,6 +1,7 @@
 """Shared test helpers.
 
-Label shorthand for readable expected sequences, and a fraction-exact
+Label shorthand for readable expected sequences, the tagger's feature
+templates as strings (the oracle its rows are held to), and a fraction-exact
 reference implementation of the interpolated Witten-Bell model for
 cross-checking the float code path.  The reference takes pre-tokenized
 lowercase text (plain words separated by spaces) so its tokenization is
@@ -12,10 +13,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence
 
 from espunct import tagger
 from espunct.corpus import LabeledUtterance, PunctClass
+from espunct.tagger import _BOS_WORD, _EOS_WORD, _word_shape
 
 _SHORT = {
     "N": PunctClass.NONE,
@@ -40,6 +42,49 @@ def lu(tokens: str, spec: str, **kwargs) -> LabeledUtterance:
     return LabeledUtterance(tuple(tokens.split()), labels(spec), **kwargs)
 
 
+def _feature_list(
+    tokens: Sequence[str],
+    i: int,
+    prev_label: str,
+    lowered: Sequence[str],
+) -> list[str]:
+    """Feature strings for position i, in fixed template order.
+
+    The fixed order matters: training and scoring must sum weights in
+    the same sequence for runs to be bit-for-bit reproducible.
+    """
+    n = len(tokens)
+
+    def word(j: int) -> str:
+        if j < 0:
+            return _BOS_WORD
+        if j >= n:
+            return _EOS_WORD
+        return lowered[j]
+
+    w = lowered[i]
+    feats = [
+        "w-2=" + word(i - 2),
+        "w-1=" + word(i - 1),
+        "w0=" + w,
+        "w+1=" + word(i + 1),
+        "w+2=" + word(i + 2),
+    ]
+    for length in (1, 2, 3):
+        if length <= len(w):
+            feats.append(f"pre{length}=" + w[:length])
+            feats.append(f"suf{length}=" + w[-length:])
+    if i == 0:
+        feats.append("first")
+    if i == n - 1:
+        feats.append("last")
+    feats.append("prev=" + prev_label)
+    feats.append("shape=" + _word_shape(tokens[i]))
+    feats.append("wb-1=" + word(i - 1) + "|" + w)
+    feats.append("wb+1=" + w + "|" + word(i + 1))
+    return feats
+
+
 # Changes that each make a saved model file unusable, by name.
 BAD_MODEL_CHANGES = {
     "weights-not-object": {"weights": [["w0=hola", 1.0]]},
@@ -57,6 +102,8 @@ BAD_MODEL_CHANGES = {
     "overflowing-weight": {"weights": {"w0=hola": {"NONE": 10**400}}},
     "string-training-log": {"training_log": "abc"},
     "training-log-of-numbers": {"training_log": [1]},
+    "lone-surrogate-feature": {"weights": {"w0=\ud800": {"NONE": 1.0}}},
+    "lone-surrogate-in-training-log": {"training_log": [{"data": "es\udcff"}]},
 }
 
 

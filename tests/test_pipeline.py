@@ -218,7 +218,14 @@ def test_config_rejections(data_dir, tmp_path):
 
     obj = base_config(data_dir, out)
     del obj["output_dir"]
-    _expect_config_error(obj, data_dir)
+    with pytest.raises(ConfigError, match="output_dir is required"):
+        config_from_dict(obj, data_dir)
+
+    for value in (5, [], ""):
+        obj = base_config(data_dir, out)
+        obj["output_dir"] = value
+        with pytest.raises(ConfigError, match="output_dir must be a non-empty path string"):
+            config_from_dict(obj, data_dir)
 
     obj = base_config(data_dir, out)
     obj["train"]["epochs"] = 0

@@ -28,7 +28,6 @@ from espunct.tagger import (
     Strategy,
     TaggerModel,
     TrainConfig,
-    _feature_list,
     _static_features,
     _word_shape,
     continue_train,
@@ -37,7 +36,7 @@ from espunct.tagger import (
     train,
 )
 
-from helpers import BAD_MODEL_CHANGES, count_trains, labels, lu
+from helpers import BAD_MODEL_CHANGES, _feature_list, count_trains, labels, lu
 
 
 # ---------------------------------------------------------------- features
@@ -167,6 +166,45 @@ def test_static_features_match_template_definition():
                     assert rows == want, (tokens, i, prev)
                     assert all(got is row for got, row in zip(rows, want)), (tokens, i, prev)
                     assert bigrams == tuple(feats[-2:]), (tokens, i, prev)
+
+
+def test_a_mistake_gets_the_rows_of_its_features():
+    # Gold labels the decoder keeps missing.  Each on_mistake call must
+    # get the phase's own rows of that position's features, in template
+    # order, and may have made only the two wb rows.
+    cases = _template_cases()
+    avg = tagger._Averager({})
+    weights = avg.weights
+    cache = _RowCache(weights, create=True)
+    calls = []
+
+    def on_mistake(rows, gold, guess):
+        calls.append((rows, gold, guess, set(weights)))
+        avg.mistake(rows, gold, guess, tick=1)
+
+    made = found = 0
+    for epoch in range(3):
+        for tokens in cases:
+            gold = [(3 * i + epoch + len(tokens)) % tagger._WIDTH for i in range(len(tokens))]
+            _static_features(tokens, cache)
+            known = set(weights)
+            calls.clear()
+            out = tagger._decode(cache, tokens, gold, on_mistake)
+            lowered = [t.lower() for t in tokens]
+            missed = [i for i in range(len(tokens)) if out[i] != gold[i]]
+            assert len(calls) == len(missed)
+            for i, (rows, g, guess, keys) in zip(missed, calls):
+                prev = _PREV_LABELS[out[i - 1] if i else -1]
+                feats = _feature_list(tokens, i, prev, lowered)
+                want = [weights[f] for f in feats]
+                assert len(rows) == len(want), (tokens, i)
+                assert all(got is row for got, row in zip(rows, want)), (tokens, i)
+                assert (g, guess) == (gold[i], out[i])
+                assert keys - known <= set(feats[-2:]), (tokens, i)
+                made += len(keys - known)
+                found += 2 - len(keys - known)
+                known = keys
+    assert made and found
 
 
 def _reference_predict(model, tokens):
