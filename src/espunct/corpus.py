@@ -140,6 +140,8 @@ _BOUNDARY_REJECTS = frozenset(SUPPORTED_MARKS) | REJECTED_BOUNDARY
 # Each label keyed by itself; a member equals and hashes as its value
 # string, so the value string finds it too.
 _LABEL_OF = {label: label for label in PunctClass}
+_first = itemgetter(0)
+_last = itemgetter(-1)
 
 
 @dataclass(frozen=True)
@@ -170,9 +172,10 @@ class LabeledUtterance:
     lang: str | None = None
 
     def __post_init__(self):
-        for name in ("tokens", "labels"):
-            if isinstance(getattr(self, name), str):
-                raise ValueError(f"{name} is a string, not a sequence")
+        if isinstance(self.tokens, str):
+            raise ValueError("tokens is a string, not a sequence")
+        if isinstance(self.labels, str):
+            raise ValueError("labels is a string, not a sequence")
         tokens = tuple(self.tokens)
         labels = tuple(self.labels)
         try:
@@ -195,8 +198,8 @@ class LabeledUtterance:
             clean = False
         if (
             clean
-            and _BOUNDARY_REJECTS.isdisjoint(map(itemgetter(0), tokens))
-            and _BOUNDARY_REJECTS.isdisjoint(map(itemgetter(-1), tokens))
+            and _BOUNDARY_REJECTS.isdisjoint(map(_first, tokens))
+            and _BOUNDARY_REJECTS.isdisjoint(map(_last, tokens))
         ):
             return
         for tok in tokens:
@@ -247,12 +250,19 @@ def normalize_punctuation(text: str) -> str:
     """
     if "..." not in text and _TRIGGER_RE.search(text) is None:
         return text
-    text = _CONTRACTION_RE.sub(_INS_APOSTROPHE, text)
-    text = _QUOTE_RE.sub("", text)
-    text = _ELLIPSIS_RE.sub(_INS_PERIOD, text)
-    text = _COLON_SEMI_RE.sub(_INS_COMMA, text)
-    text = _PERIOD_RUN_RE.sub(".", text)
-    text = _COMMA_RUN_RE.sub(",", text)
+    # Each pass runs only on text holding a character its pattern needs,
+    # tested on the text as the passes before left it.
+    if _QUOTE_RE.search(text) is not None:
+        text = _CONTRACTION_RE.sub(_INS_APOSTROPHE, text)
+        text = _QUOTE_RE.sub("", text)
+    if "\u2026" in text or "..." in text:
+        text = _ELLIPSIS_RE.sub(_INS_PERIOD, text)
+    if ":" in text or ";" in text:
+        text = _COLON_SEMI_RE.sub(_INS_COMMA, text)
+    if _INS_PERIOD in text:
+        text = _PERIOD_RUN_RE.sub(".", text)
+    if _INS_COMMA in text:
+        text = _COMMA_RUN_RE.sub(",", text)
     return text.replace(_INS_APOSTROPHE, "'")
 
 
@@ -287,7 +297,14 @@ def extract_labels(
         raise ValueError("no tokens in input text")
     tokens: list[str] = []
     labels: list[PunctClass] = []
+    none = PunctClass.NONE
     for word in words:
+        if word[0] not in _BOUNDARY_REJECTS and word[-1] not in _BOUNDARY_REJECTS:
+            # No mark to strip and nothing to refuse: _split_marks and the
+            # checks below would keep the word whole as a NONE token.
+            tokens.append(word)
+            labels.append(none)
+            continue
         lead, core, trail = _split_marks(word)
         if not core:
             raise UnsupportedPunctuation(
@@ -326,7 +343,7 @@ def render(u: LabeledUtterance, capitalize: bool = False) -> str:
     for token, label in zip(u.tokens, u.labels):
         if cap_next and token[0].islower():
             token = token[0].upper() + token[1:]
-        cap_next = capitalize and label.is_terminating
+        cap_next = capitalize and label in _TERMINATING
         lead, trail = _MARKS[label]
         parts.append(lead + token + trail)
     return " ".join(parts)
@@ -395,10 +412,11 @@ def _record_from_dict(obj: object, line_number: int) -> Utterance:
     if not isinstance(obj, dict):
         raise MalformedRecord(line_number, "record is not a JSON object")
     source = obj.get("source")
+    if source is not None and not isinstance(source, str):
+        raise MalformedRecord(line_number, "source is not a string")
     lang = obj.get("lang")
-    for name, value in (("source", source), ("lang", lang)):
-        if value is not None and not isinstance(value, str):
-            raise MalformedRecord(line_number, f"{name} is not a string")
+    if lang is not None and not isinstance(lang, str):
+        raise MalformedRecord(line_number, "lang is not a string")
     try:
         if "text" in obj:
             if not isinstance(obj["text"], str):
@@ -419,12 +437,25 @@ def _record_from_dict(obj: object, line_number: int) -> Utterance:
     raise MalformedRecord(line_number, "record has neither text nor tokens+labels")
 
 
+def _encodable(rec: Utterance) -> bool:
+    """False when a string of rec holds a lone surrogate (a JSON escape
+    such as \\ud800 decodes to one), which no writer can encode."""
+    strings = [rec.text] if isinstance(rec, RawUtterance) else list(rec.tokens)
+    strings += (rec.source or "", rec.lang or "")
+    try:
+        "".join(strings).encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def read_jsonl(path: str | Path) -> list[Utterance]:
     """Read a corpus file, one JSON record per line.
 
     Raw records carry "text"; labeled records carry "tokens" and
     "labels".  A file may hold either shape but not a mixture.  Lines are
-    decoded one at a time so a non-UTF-8 byte names its line.
+    decoded one at a time so a non-UTF-8 byte names its line, and so does
+    a \\u escape that leaves a lone surrogate in a record's strings.
     """
     records: list[Utterance] = []
     try:
@@ -447,6 +478,8 @@ def read_jsonl(path: str | Path) -> list[Utterance]:
                     except (ValueError, RecursionError) as exc:
                         raise MalformedRecord(line_number, f"bad JSON: {exc}") from exc
                 record = _record_from_dict(obj, line_number)
+                if b"\\u" in raw and not _encodable(record):
+                    raise MalformedRecord(line_number, "record holds a lone surrogate")
                 if records and type(record) is not type(records[0]):
                     raise MalformedRecord(line_number, "file mixes raw and labeled records")
                 records.append(record)

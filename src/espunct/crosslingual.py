@@ -9,9 +9,12 @@ full form when the chunk is a single token.
 
 from __future__ import annotations
 
-from .corpus import LabeledUtterance
+from .corpus import LabeledUtterance, PunctClass
 from .errors import AlreadySpanishConvention
 from .postprocess import repair_pairing
+
+# Labels only Spanish convention uses: a close-only sequence holds none.
+_SPANISH_ONLY = frozenset(lab for lab in PunctClass if lab.is_opening or lab.is_full)
 
 
 def anglicize_to_spanish_conventions(u: LabeledUtterance) -> LabeledUtterance:
@@ -23,10 +26,10 @@ def anglicize_to_spanish_conventions(u: LabeledUtterance) -> LabeledUtterance:
     punctuation of any kind.  A chunk of one token collapses into the
     full form on that token.
     """
-    for lab in u.labels:
-        if lab.is_opening or lab.is_full:
-            raise AlreadySpanishConvention(
-                f"label {lab.name} already uses Spanish pairing"
-            )
+    if not _SPANISH_ONLY.isdisjoint(u.labels):
+        lab = next(lab for lab in u.labels if lab in _SPANISH_ONLY)
+        raise AlreadySpanishConvention(
+            f"label {lab.name} already uses Spanish pairing"
+        )
     labels = tuple(repair_pairing(u.labels))
     return LabeledUtterance(u.tokens, labels, source=u.source, lang=u.lang)

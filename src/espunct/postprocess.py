@@ -13,6 +13,11 @@ from typing import Sequence
 
 from .corpus import FULL_FOR, OPENER_FOR, PunctClass, chunk_start
 
+# The kind of each label that opens a pair, and of each that closes one.
+_OPENS = {lab: lab.kind for lab in PunctClass if lab.is_opening}
+_CLOSES = {lab: lab.kind for lab in PunctClass if lab.is_closing}
+_PAIRED = frozenset(_OPENS) | frozenset(_CLOSES)
+
 
 def validate_pairing(labels: Sequence[PunctClass]) -> bool:
     """True when opens and closes of each kind nest flatly and match.
@@ -22,12 +27,15 @@ def validate_pairing(labels: Sequence[PunctClass]) -> bool:
     """
     pending = None
     for lab in labels:
-        if lab.is_opening:
+        kind = _OPENS.get(lab)
+        if kind is not None:
             if pending is not None:
                 return False
-            pending = lab.kind
-        elif lab.is_closing:
-            if pending != lab.kind:
+            pending = kind
+            continue
+        kind = _CLOSES.get(lab)
+        if kind is not None:
+            if pending is not kind:
                 return False
             pending = None
     return pending is None
@@ -43,20 +51,22 @@ def repair_pairing(labels: Sequence[PunctClass]) -> list[PunctClass]:
     point: repairing it again changes nothing.
     """
     work = list(labels)
+    if _PAIRED.isdisjoint(work):
+        return work
 
     # First drop every open that never finds its close; what remains is
     # a sequence whose opens all match.
     pending: tuple | None = None  # (kind, index)
     unmatched_opens: list[int] = []
     for i, lab in enumerate(work):
-        if lab.is_opening:
+        kind = _OPENS.get(lab)
+        if kind is not None:
             if pending is None:
-                pending = (lab.kind, i)
+                pending = (kind, i)
             else:
                 unmatched_opens.append(i)
-        elif lab.is_closing:
-            if pending is not None and pending[0] == lab.kind:
-                pending = None
+        elif pending is not None and pending[0] is _CLOSES.get(lab):
+            pending = None
     if pending is not None:
         unmatched_opens.append(pending[1])
     for i in unmatched_opens:
@@ -67,17 +77,21 @@ def repair_pairing(labels: Sequence[PunctClass]) -> list[PunctClass]:
     # pair the close is promoted to its full form instead.
     pending_kind = None
     for i, lab in enumerate(work):
-        if lab.is_opening:
-            pending_kind = lab.kind
-        elif lab.is_closing:
-            if pending_kind == lab.kind:
-                pending_kind = None
-            elif pending_kind is not None:
-                work[i] = FULL_FOR[lab.kind]
+        kind = _OPENS.get(lab)
+        if kind is not None:
+            pending_kind = kind
+            continue
+        kind = _CLOSES.get(lab)
+        if kind is None:
+            continue
+        if pending_kind is kind:
+            pending_kind = None
+        elif pending_kind is not None:
+            work[i] = FULL_FOR[kind]
+        else:
+            j = chunk_start(work, i)
+            if j == i:
+                work[i] = FULL_FOR[kind]
             else:
-                j = chunk_start(work, i)
-                if j == i:
-                    work[i] = FULL_FOR[lab.kind]
-                else:
-                    work[j] = OPENER_FOR[lab.kind]
+                work[j] = OPENER_FOR[kind]
     return work

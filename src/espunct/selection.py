@@ -44,10 +44,14 @@ def lm_tokenize(text: str) -> list[str]:
 
     Boundary punctuation is peeled off repeatedly so "¿Cómo?" and "cómo"
     count as the same word; tokens that were pure punctuation vanish.
+    The line is lowercased once, before the split: no code point's
+    lowercase form changes whether it is whitespace, and final-sigma
+    casing stops at whitespace, so the tokens are those of lowercasing
+    each one.
     """
     out = []
-    for tok in normalize_punctuation(text).split():
-        tok = tok.lower().strip(SUPPORTED_MARKS)
+    for tok in normalize_punctuation(text).lower().split():
+        tok = tok.strip(SUPPORTED_MARKS)
         if tok:
             out.append(tok)
     return out
@@ -140,7 +144,9 @@ def train_ngram(corpus: Sequence[RawUtterance], order: int = DEFAULT_ORDER) -> N
             target = seq[i]
             for n in range(order):
                 context = tuple(seq[i - n : i])
-                bucket = counts.setdefault(context, {})
+                bucket = counts.get(context)
+                if bucket is None:
+                    bucket = counts[context] = {}
                 bucket[target] = bucket.get(target, 0) + 1
     context_totals = {ctx: sum(bucket.values()) for ctx, bucket in counts.items()}
     return NGramModel(

@@ -1,11 +1,13 @@
 """Shared test helpers.
 
 Label shorthand for readable expected sequences, the tagger's feature
-templates as strings (the oracle its rows are held to), and a fraction-exact
-reference implementation of the interpolated Witten-Bell model for
-cross-checking the float code path.  The reference takes pre-tokenized
-lowercase text (plain words separated by spaces) so its tokenization is
-a bare split.
+templates as strings (the oracle its rows are held to), plain-loop
+references for the corpus, pairing and tokenizer code that takes fast
+paths (normalization, extraction, pairing validation and repair, the
+language-model tokenizer), and a fraction-exact reference implementation
+of the interpolated Witten-Bell model for cross-checking the float code
+path.  The Witten-Bell reference takes pre-tokenized lowercase text
+(plain words separated by spaces) so its tokenization is a bare split.
 """
 
 from __future__ import annotations
@@ -15,8 +17,17 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Sequence
 
-from espunct import tagger
-from espunct.corpus import LabeledUtterance, PunctClass
+from espunct import corpus, tagger
+from espunct.corpus import (
+    FULL_FOR,
+    OPENER_FOR,
+    REJECTED_BOUNDARY,
+    SUPPORTED_MARKS,
+    LabeledUtterance,
+    PunctClass,
+    chunk_start,
+)
+from espunct.errors import ConflictingMarks, UnsupportedPunctuation
 from espunct.tagger import _BOS_WORD, _EOS_WORD, _word_shape
 
 _SHORT = {
@@ -83,6 +94,113 @@ def _feature_list(
     feats.append("wb-1=" + word(i - 1) + "|" + w)
     feats.append("wb+1=" + w + "|" + word(i + 1))
     return feats
+
+
+def full_normalization_chain(text: str) -> str:
+    """Every normalization pass, run whether or not it can match."""
+    text = corpus._CONTRACTION_RE.sub(corpus._INS_APOSTROPHE, text)
+    text = corpus._QUOTE_RE.sub("", text)
+    text = corpus._ELLIPSIS_RE.sub(corpus._INS_PERIOD, text)
+    text = corpus._COLON_SEMI_RE.sub(corpus._INS_COMMA, text)
+    text = corpus._PERIOD_RUN_RE.sub(".", text)
+    text = corpus._COMMA_RUN_RE.sub(",", text)
+    return text.replace(corpus._INS_APOSTROPHE, "'")
+
+
+def reference_extract_labels(text: str) -> LabeledUtterance:
+    """extract_labels as one loop that splits and checks every word."""
+    words = text.split()
+    if not words:
+        raise ValueError("no tokens in input text")
+    tokens: list[str] = []
+    labels: list[PunctClass] = []
+    for word in words:
+        lead, core, trail = corpus._split_marks(word)
+        if not core:
+            raise UnsupportedPunctuation(
+                f"token {word!r} has no word to attach punctuation to"
+            )
+        for ch in (core[0], core[-1]):
+            if ch in REJECTED_BOUNDARY:
+                raise UnsupportedPunctuation(
+                    f"token {word!r} keeps unnormalized punctuation {ch!r}"
+                )
+        if core[0] in SUPPORTED_MARKS or core[-1] in "\u00bf\u00a1":
+            raise UnsupportedPunctuation(
+                f"token {word!r} has a mark in an unsupported position"
+            )
+        if core[-1] in "?!,.":
+            raise ConflictingMarks(f"token {word!r} stacks trailing marks")
+        label = corpus._LABEL_FOR_MARKS.get((lead, trail))
+        if label is None:
+            raise ConflictingMarks(
+                f"token {word!r} mixes marks of different kinds"
+            )
+        tokens.append(core)
+        labels.append(label)
+    return LabeledUtterance(tuple(tokens), tuple(labels))
+
+
+def reference_validate_pairing(labels: Sequence[PunctClass]) -> bool:
+    """validate_pairing through the label properties."""
+    pending = None
+    for lab in labels:
+        if lab.is_opening:
+            if pending is not None:
+                return False
+            pending = lab.kind
+        elif lab.is_closing:
+            if pending != lab.kind:
+                return False
+            pending = None
+    return pending is None
+
+
+def reference_repair_pairing(labels: Sequence[PunctClass]) -> list[PunctClass]:
+    """repair_pairing through the label properties, with both passes
+    run on every sequence."""
+    work = list(labels)
+    pending: tuple | None = None  # (kind, index)
+    unmatched_opens: list[int] = []
+    for i, lab in enumerate(work):
+        if lab.is_opening:
+            if pending is None:
+                pending = (lab.kind, i)
+            else:
+                unmatched_opens.append(i)
+        elif lab.is_closing:
+            if pending is not None and pending[0] == lab.kind:
+                pending = None
+    if pending is not None:
+        unmatched_opens.append(pending[1])
+    for i in unmatched_opens:
+        work[i] = PunctClass.NONE
+    pending_kind = None
+    for i, lab in enumerate(work):
+        if lab.is_opening:
+            pending_kind = lab.kind
+        elif lab.is_closing:
+            if pending_kind == lab.kind:
+                pending_kind = None
+            elif pending_kind is not None:
+                work[i] = FULL_FOR[lab.kind]
+            else:
+                j = chunk_start(work, i)
+                if j == i:
+                    work[i] = FULL_FOR[lab.kind]
+                else:
+                    work[j] = OPENER_FOR[lab.kind]
+    return work
+
+
+def reference_lm_tokenize(text: str) -> list[str]:
+    """lm_tokenize lowercasing token by token, after the split."""
+    out = []
+    for tok in corpus.normalize_punctuation(text).split():
+        tok = tok.lower().strip(SUPPORTED_MARKS)
+        if tok:
+            out.append(tok)
+    return out
 
 
 # Changes that each make a saved model file unusable, by name.

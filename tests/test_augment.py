@@ -40,6 +40,20 @@ def test_histogram_drops_zero_mass_buckets():
     assert set(h.buckets) == {1, 3}
 
 
+@pytest.mark.parametrize(
+    "buckets, message",
+    [
+        ({-1: 0.5, 1: 0.5}, "bad bucket -1"),
+        ({1: 1.5, 2: -0.5}, "negative mass for bucket 2"),
+        ({1: 0.5, 2: 0.4}, "bucket masses do not sum to 1"),
+    ],
+    ids=["negative-key", "negative-mass", "masses-not-summing-to-one"],
+)
+def test_histogram_refuses_bad_buckets(buckets, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        TerminalHistogram(buckets)
+
+
 def test_distribution_distance():
     a = TerminalHistogram({1: 1.0})
     b = TerminalHistogram({2: 1.0})

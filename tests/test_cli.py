@@ -515,14 +515,55 @@ def test_hostile_json_is_a_typed_error(tmp_path, capsys, argv, name, code, conte
          "line 3: file mixes raw and labeled records"),
         ("normalize", "labeled.jsonl", '{"tokens": ["ya"], "labels": ["PERIOD"]}\n',
          "line 1: normalize expects raw text records"),
+        ("extract", "number.jsonl", '{"text": 5}\n', "line 1: text is not a string\n"),
     ],
-    ids=["blank-lines-counted", "unicode-breaks-inside-lines", "mixed-kinds", "normalize-labeled"],
+    ids=[
+        "blank-lines-counted", "unicode-breaks-inside-lines", "mixed-kinds", "normalize-labeled",
+        "text-not-a-string",
+    ],
 )
 def test_data_errors_name_the_file_line(tmp_path, capsys, command, name, content, expected):
     path = tmp_path / name
     path.write_text(content, encoding="utf-8")
     assert main([command, "--in", str(path), "--out", str(tmp_path / "o")]) == 3
     assert capsys.readouterr().err.startswith(f"error: {expected}")
+
+
+@pytest.mark.parametrize(
+    "command, content, line",
+    [
+        ("normalize", '{"text": "hola \\ud800 tal."}\n', 1),
+        ("extract", '{"text": "hola \\ud800 tal."}\n', 1),
+        ("normalize", '{"text": "vale."}\n{"text": "vale.", "source": "sub\\udfff"}\n', 2),
+        ("normalize", '{"text": "vale."}\n{"text": "vale.", "lang": "\\udc00es"}\n', 2),
+        ("extract", '{"tokens": ["ya"], "labels": ["PERIOD"]}\n'
+         '{"tokens": ["a\\ud83d", "b"], "labels": ["NONE", "PERIOD"]}\n', 2),
+    ],
+    ids=["text-normalize", "text-extract", "source", "lang", "token"],
+)
+def test_a_lone_surrogate_is_refused_at_read(tmp_path, capsys, command, content, line):
+    path = tmp_path / "in.jsonl"
+    path.write_text(content, encoding="utf-8")
+    out = tmp_path / "o.jsonl"
+    assert main([command, "--in", str(path), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"error: line {line}: record holds a lone surrogate\n"
+    assert not out.exists()
+
+
+def test_an_escaped_surrogate_pair_is_read_as_one_character(tmp_path):
+    path = tmp_path / "in.jsonl"
+    path.write_text('{"text": "vale \\ud83d\\ude00."}\n', encoding="utf-8")
+    out = tmp_path / "o.jsonl"
+    assert main(["normalize", "--in", str(path), "--out", str(out)]) == 0
+    assert read_jsonl(out)[0].text == "vale \U0001f600."
+
+
+@pytest.mark.parametrize("argv", [["predict", "--text", "hola"], ["serve"]])
+def test_a_model_file_holding_a_list_is_a_usage_error(tmp_path, capsys, argv):
+    model = tmp_path / "model.json"
+    model.write_text("[]", encoding="utf-8")
+    assert main(argv + ["--model", str(model)]) == 2
+    assert capsys.readouterr().err == "error: model file does not hold a JSON object\n"
 
 
 def test_a_byte_order_mark_is_dropped_from_plain_text(tmp_path, capsys):

@@ -5,7 +5,11 @@ The validator checks all tokens at once and walks them one by one only
 on failure; these tests hold it to the plain per-token loop below.  The
 codec builds each line from json's string quoter and a label table;
 these tests hold it to per-record json.dumps.  Normalization returns text that no rewrite can
-touch as it is; these tests hold it to the full regex chain.
+touch as it is, and runs each rewrite only on text holding a character
+that rewrite needs; these tests hold it to the full regex chain.
+Extraction keeps a word with no mark at either edge whole, as a NONE
+token; a case list holds it to the loop that splits and checks every
+word.
 """
 
 import json
@@ -13,18 +17,20 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from espunct import corpus
 from espunct.corpus import (
     REJECTED_BOUNDARY,
     SUPPORTED_MARKS,
     LabeledUtterance,
     PunctClass,
     RawUtterance,
+    extract_labels,
     normalize_punctuation,
     read_jsonl,
     write_jsonl,
 )
 from espunct.errors import MalformedRecord
+
+from helpers import full_normalization_chain, reference_extract_labels
 
 SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
@@ -154,23 +160,42 @@ def test_unknown_label_message_is_unchanged(tmp_path):
     assert str(err.value) == "line 1: 'NOPE' is not a valid PunctClass"
 
 
-def full_normalization_chain(text):
-    """Every normalization pass, run whether or not it can match."""
-    text = corpus._CONTRACTION_RE.sub(corpus._INS_APOSTROPHE, text)
-    text = corpus._QUOTE_RE.sub("", text)
-    text = corpus._ELLIPSIS_RE.sub(corpus._INS_PERIOD, text)
-    text = corpus._COLON_SEMI_RE.sub(corpus._INS_COMMA, text)
-    text = corpus._PERIOD_RUN_RE.sub(".", text)
-    text = corpus._COMMA_RUN_RE.sub(",", text)
-    return text.replace(corpus._INS_APOSTROPHE, "'")
-
-
 _TRIGGERS = list("\"'\u00ab\u00bb\u201c\u201d\u2018\u2019\u2026:;")
 _SENTINELS = ["\ue000", "\ue001", "\ue002"]
-_PIECES = _TRIGGERS + _SENTINELS + [".", "..", "...", "....", ",", ",,"] + list("añZ ") + ["\u2028"]
+_PIECES = (
+    _TRIGGERS + _SENTINELS + [".", "..", "...", "....", ",", ",,"] + list("añZ ") + ["\u2028"]
+    + ["a'b", "l\u2019h", "\u2026."]
+)
 
 
-@SETTINGS
-@given(st.lists(st.sampled_from(_PIECES), max_size=8).map("".join))
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.sampled_from(_PIECES), max_size=16).map("".join))
 def test_normalize_matches_full_regex_chain(text):
     assert normalize_punctuation(text) == full_normalization_chain(text)
+
+
+# Every mark extraction treats specially, and the plain hyphen it keeps.
+_EDGE_MARKS = sorted(set(SUPPORTED_MARKS) | REJECTED_BOUNDARY | {"-"})
+
+
+def _extract_cases():
+    for mark in _EDGE_MARKS:
+        for word in (
+            mark + "hola", "hola" + mark, mark, mark + mark,
+            mark + "hola" + mark, "ho" + mark + "la",
+            "\u00bfhola" + mark, mark + "hola?", "hola" + mark + ".",
+        ):
+            yield f"bien {word} que"
+            yield word
+    yield "bien que tal"
+    yield "\u00bfqu\u00e9 tal? \u00a1vale! s\u00ed, bueno."
+
+
+def test_extract_matches_per_word_loop():
+    cases = list(_extract_cases())
+    mismatched = [
+        text
+        for text in cases
+        if _outcome(extract_labels, text) != _outcome(reference_extract_labels, text)
+    ]
+    assert len(cases) > 400 and mismatched == []

@@ -3,12 +3,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from espunct.corpus import terminal_count
+from espunct.corpus import PunctClass, terminal_count
 from espunct.postprocess import repair_pairing, validate_pairing
 from espunct.synthetic import random_label_sequence, random_valid_labels
 
-from helpers import labels
+from helpers import labels, reference_repair_pairing, reference_validate_pairing
 
 
 def L(pattern):
@@ -105,3 +106,19 @@ def test_terminal_count_helper_matches():
     from helpers import lu
     assert terminal_count(lu("a b c", "OQ N CQ")) == 1
     assert terminal_count(lu("a b", "N N")) == 0
+
+
+# Sequences over all nine labels; a bias toward NONE gives long chunks,
+# which is where repair plants its openers.
+_LABEL_SEQUENCES = st.lists(
+    st.sampled_from(list(PunctClass)) | st.just(PunctClass.NONE), max_size=14
+)
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(_LABEL_SEQUENCES)
+def test_pairing_tables_match_label_properties(seq):
+    assert validate_pairing(seq) is reference_validate_pairing(seq)
+    repaired = repair_pairing(seq)
+    assert repaired == reference_repair_pairing(seq)
+    assert type(repaired) is list and repaired is not seq

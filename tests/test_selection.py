@@ -4,9 +4,12 @@ import math
 import random
 from fractions import Fraction
 
-import pytest
+import sys
 
-from espunct.corpus import RawUtterance, render
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from espunct.corpus import SUPPORTED_MARKS, RawUtterance, render
 from espunct.errors import EmptyCorpus, KTooLarge
 from espunct.selection import (
     BOS,
@@ -20,7 +23,7 @@ from espunct.selection import (
 )
 from espunct.synthetic import rule_corpus
 
-from helpers import EOS, RefWittenBell, UNK
+from helpers import EOS, RefWittenBell, UNK, reference_lm_tokenize
 
 
 def test_lm_tokenize():
@@ -29,6 +32,38 @@ def test_lm_tokenize():
     # interior decimal comma survives, boundary marks peel off
     assert lm_tokenize("son 3,5 euros.") == ["son", "3,5", "euros"]
     assert lm_tokenize("«hola»") == ["hola"]
+
+
+_WHITESPACE = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+
+
+def test_lowercasing_never_moves_a_token_boundary():
+    """What makes lowercasing the whole line before the split exact."""
+    for c in map(chr, range(sys.maxunicode + 1)):
+        if c.isspace():
+            assert c.lower() == c
+        else:
+            assert not any(ch.isspace() for ch in c.lower()), hex(ord(c))
+    # Final-sigma casing, the one rule that reads context, stops at
+    # whitespace: a sigma after a space is not final, one before it is.
+    for ws in _WHITESPACE:
+        assert ("A" + ws + "\u03a3B").lower() == "a" + ws + "\u03c3b"
+        assert ("A\u03a3" + ws + "B").lower() == "a\u03c2" + ws + "b"
+
+
+_LM_TEXT = st.lists(
+    st.sampled_from(
+        list("aZñ\u00c9\u0130\u03a3\u03c3\u1e9e") + list(SUPPORTED_MARKS)
+        + ["\u00ab", "\u2026", ":", "'", "\u0301", "\u00ad"] + _WHITESPACE
+    ),
+    max_size=16,
+).map("".join)
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(_LM_TEXT)
+def test_lm_tokenize_matches_lowercasing_each_token(text):
+    assert lm_tokenize(text) == reference_lm_tokenize(text)
 
 
 def test_train_ngram_validation():
