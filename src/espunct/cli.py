@@ -8,7 +8,7 @@ is read as plain text, one utterance per line.  Records are shaped by
 corpus.as_labeled and corpus.as_text, as in the pipeline.
 
 Exit codes: 0 success, 2 bad arguments (out-of-range numbers included)
-or configuration, 3 data errors.
+or configuration, 3 data errors; each error type carries its code.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import argparse
 import os
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .augment import DEFAULT_MAX_TOKENS, augment_to_distribution, histogram, write_histogram_report
 from .corpus import (
@@ -32,14 +32,7 @@ from .corpus import (
     write_jsonl,
 )
 from .crosslingual import anglicize_to_spanish_conventions
-from .errors import (
-    ConfigError,
-    IoFailure,
-    MalformedRecord,
-    ModelLoadError,
-    PipelineError,
-    PunctError,
-)
+from .errors import ConfigError, EmptyCorpus, IoFailure, MalformedRecord, PunctError
 from .evaluate import DEFAULT_REPAIR, evaluate, write_report_json
 from .pipeline import (
     PunctServer,
@@ -97,24 +90,40 @@ def _text_lines(p: Path) -> list[tuple[int, str]]:
     ]
 
 
-def _read_corpus(path: str) -> list[Utterance]:
+def _read_corpus(path: str, shape: Callable[[list], list] = list) -> list:
+    """The records of the corpus at path through shape.  A file with no
+    records is EmptyCorpus; a MalformedRecord from shape names the file's line."""
     p = Path(path)
-    if p.suffix == ".jsonl":
-        return read_jsonl(p)
-    return [RawUtterance(line) for _, line in _text_lines(p)]
+    numbered = None if p.suffix == ".jsonl" else _text_lines(p)
+    records = read_jsonl(p) if numbered is None else [RawUtterance(t) for _, t in numbered]
+    if not records:
+        raise EmptyCorpus(f"{p} holds no utterances")
+    try:
+        return shape(records)
+    except MalformedRecord as exc:
+        if numbered is None:
+            raise
+        # Blank lines are not records, so map the record's position back.
+        raise MalformedRecord(numbered[exc.line_number - 1][0], exc.reason) from None
 
 
 def _read_labeled(path: str) -> list[LabeledUtterance]:
     """The corpus at path through as_labeled; an error names the file's line."""
-    p = Path(path)
-    if p.suffix == ".jsonl":
-        return as_labeled(read_jsonl(p))
-    numbered = _text_lines(p)
-    try:
-        return as_labeled([RawUtterance(line) for _, line in numbered])
-    except MalformedRecord as exc:
-        # Blank lines are not records, so map the record's position back.
-        raise MalformedRecord(numbered[exc.line_number - 1][0], exc.reason) from None
+    return _read_corpus(path, as_labeled)
+
+
+def _normalized(records: list[Utterance]) -> list[RawUtterance]:
+    """Raw records normalized; any other record, or text normalized to nothing, is malformed."""
+    out = []
+    for position, rec in enumerate(records, start=1):
+        if not isinstance(rec, RawUtterance):
+            raise MalformedRecord(position, "normalize expects raw text records")
+        text = normalize_punctuation(rec.text)
+        try:
+            out.append(RawUtterance(text, source=rec.source, lang=rec.lang))
+        except ValueError:
+            raise MalformedRecord(position, "text has no tokens after normalization") from None
+    return out
 
 
 def _at_least(low: int, high: int | None = None):
@@ -133,17 +142,7 @@ def _at_least(low: int, high: int | None = None):
 
 
 def _cmd_normalize(args) -> int:
-    records = _read_corpus(args.infile)
-    out = []
-    for position, rec in enumerate(records, start=1):
-        if not isinstance(rec, RawUtterance):
-            raise MalformedRecord(position, "normalize expects raw text records")
-        out.append(
-            RawUtterance(
-                normalize_punctuation(rec.text), source=rec.source, lang=rec.lang
-            )
-        )
-    write_jsonl(out, args.out)
+    write_jsonl(_read_corpus(args.infile, _normalized), args.out)
     return 0
 
 
@@ -228,17 +227,14 @@ def _cmd_serve(args) -> int:
     if args.listen:
         host, _, port_text = args.listen.rpartition(":")
         try:
-            port = int(port_text)
-            if not host or not 0 <= port <= 65535:
-                raise ValueError
-        except ValueError:
+            if not host:
+                raise ValueError("no host")
+            # bind refuses a port outside 0-65535 and a host it cannot encode.
+            server = PunctServer((host, int(port_text)), model)
+        except (ValueError, TypeError, OverflowError, OSError) as exc:
             raise ConfigError(
-                f"--listen wants HOST:PORT with PORT 0-65535, got {args.listen!r}"
+                f"cannot listen on {args.listen!r} (want HOST:PORT, PORT 0-65535): {exc}"
             ) from None
-        try:
-            server = PunctServer((host, port), model)
-        except (OSError, OverflowError) as exc:
-            raise ConfigError(f"cannot listen on {args.listen}: {exc}") from None
         host, port = server.server_address[:2]
         print(f"listening on {host}:{port}", file=sys.stderr, flush=True)
         try:
@@ -341,15 +337,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ModelLoadError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except PipelineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc.cause, (ConfigError, ModelLoadError)) else 3
     except PunctError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -4,8 +4,8 @@ Utterances live in two forms: raw punctuated text, and a parallel
 (tokens, labels) pair where each label says which punctuation attaches
 to that token.  This module owns the label inventory, the punctuation
 normalizer, the reversible text<->labels mapping, JSONL round-trip IO,
-the atomic line writer every artifact goes through, and the record
-conversions the CLI and the pipeline share (as_labeled, as_text).
+the atomic line writer every artifact goes through, JSON document IO,
+and the record conversions the CLI and the pipeline share (as_labeled, as_text).
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .errors import (
     ConflictingMarks,
     IoFailure,
     MalformedRecord,
+    PunctError,
     UnsupportedPunctuation,
 )
 
@@ -354,17 +355,21 @@ def as_labeled(
 ) -> list[LabeledUtterance]:
     """Raw records normalized and parsed, a missing source set to
     default_source; labeled records pass through.  Raw text that
-    normalizes to nothing is a MalformedRecord at its 1-based position."""
+    normalizes to nothing or that extraction refuses is a MalformedRecord
+    at its 1-based position."""
     out = []
     for position, rec in enumerate(records, start=1):
         if isinstance(rec, LabeledUtterance):
             out.append(rec)
             continue
         text = normalize_punctuation(rec.text)
-        if not text.strip():
-            raise MalformedRecord(position, "text has no tokens after normalization")
         source = rec.source if rec.source is not None else default_source
-        out.append(extract_labels(text, source=source, lang=rec.lang))
+        try:
+            out.append(extract_labels(text, source=source, lang=rec.lang))
+        except ValueError:
+            raise MalformedRecord(position, "text has no tokens after normalization") from None
+        except (UnsupportedPunctuation, ConflictingMarks) as exc:
+            raise MalformedRecord(position, str(exc)) from None
     return out
 
 
@@ -526,6 +531,24 @@ def write_lines_atomic(path: str | Path, lines: Iterable[str]) -> None:
         if isinstance(exc, OSError):
             raise IoFailure(f"cannot write {path}: {exc}") from exc
         raise
+
+
+def read_json(path: str | Path, error: type[PunctError], what: str) -> object:
+    """The JSON document in the UTF-8 file at path.  A file that cannot be
+    read or decoded, or that is not JSON, raises error naming what it is."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError covers a byte that is not UTF-8 and JSON that is not valid.
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+
+
+def write_json(obj: object, path: str | Path, indent: int | None = None) -> None:
+    """obj as key-sorted JSON, UTF-8 without ASCII escaping, and a final
+    newline, written atomically (see write_lines_atomic)."""
+    text = json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=indent)
+    write_lines_atomic(path, [text, "\n"])
 
 
 def _replaceable(path: Path) -> bool:

@@ -6,7 +6,8 @@ catch toolkit failures without swallowing programming errors.
 
 
 class PunctError(Exception):
-    """Base class for all toolkit errors."""
+    """Base class for all toolkit errors; exit_code is the CLI's exit status."""
+    exit_code = 3
 
 
 class MalformedRecord(PunctError):
@@ -85,19 +86,23 @@ class MalformedRequest(PunctError):
 
 class ModelLoadError(PunctError):
     """A model file is unreadable or has an incompatible format."""
+    exit_code = 2
 
 
 class ConfigError(PunctError):
     """An experiment configuration is invalid."""
+    exit_code = 2
 
 
 class PipelineError(PunctError):
-    """A pipeline stage failed; carries the stage name and the cause."""
+    """A pipeline stage failed; carries the stage name and the cause, and
+    exits as the cause does (3 for one that is not a toolkit error)."""
 
     def __init__(self, stage: str, cause: Exception):
         super().__init__(f"stage {stage!r}: {cause}")
         self.stage = stage
         self.cause = cause
+        self.exit_code = cause.exit_code if isinstance(cause, PunctError) else 3
 
     def __reduce__(self):
         return type(self), (self.stage, self.cause)

@@ -7,13 +7,12 @@ drown the signal.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-from .corpus import CLASS_INDEX, CLASS_ORDER, LabeledUtterance, PunctClass, write_lines_atomic
+from .corpus import CLASS_INDEX, CLASS_ORDER, LabeledUtterance, PunctClass, write_json
 from .errors import BadFractions, EmptyTestSet, PredictionLengthMismatch
 from .postprocess import repair_pairing
 
@@ -120,10 +119,7 @@ class EvalReport:
 
 def write_report_json(report: EvalReport, path: str | Path) -> None:
     """The report as sorted, indented UTF-8 JSON with a final newline."""
-    text = json.dumps(
-        report.to_json_dict(), ensure_ascii=False, sort_keys=True, indent=2
-    )
-    write_lines_atomic(path, [text, "\n"])
+    write_json(report.to_json_dict(), path, indent=2)
 
 
 def _f1(precision: float, recall: float) -> float:

@@ -40,6 +40,7 @@ from .corpus import (
     as_text,
     extract_labels,  # noqa: F401  unused here, but bench/ wraps it by this name
     normalize_punctuation,
+    read_json,
     read_jsonl,
     render,
     write_jsonl,
@@ -49,6 +50,7 @@ from .crosslingual import anglicize_to_spanish_conventions
 from .errors import (
     ConfigError,
     DataLeakageError,
+    EmptyCorpus,
     MalformedRequest,
     PipelineError,
     PunctError,
@@ -310,23 +312,25 @@ def config_from_dict(
 def load_config(path: str | Path, seed_override: int | None = None) -> ExperimentConfig:
     """Read and validate an experiment config file."""
     path = Path(path)
-    try:
-        raw = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    try:
-        obj = json.loads(raw)
-    except (ValueError, RecursionError) as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    return config_from_dict(obj, path.parent, seed_override)
+    return config_from_dict(read_json(path, ConfigError, "config"), path.parent, seed_override)
 
 
 # --- experiment runner -----------------------------------------------------
 
 
-def _load(path: Path | None, origin: str) -> list[LabeledUtterance] | None:
-    """A configured dataset as labeled records; None when not configured."""
-    return as_labeled(read_jsonl(path), origin) if path else None
+def _load(
+    config: ExperimentConfig, key: str, origin: str
+) -> list[LabeledUtterance] | None:
+    """The dataset configured under datasets.key as labeled records, in
+    stage load:key; None when not configured.  An empty file is EmptyCorpus."""
+    path = getattr(config, key)
+    if path is None:
+        return None
+    with _stage(f"load:{key}"):
+        records = read_jsonl(path)
+        if not records:
+            raise EmptyCorpus(f"{path} holds no utterances")
+        return as_labeled(records, origin)
 
 
 def _dedup(corpus: Sequence[LabeledUtterance]) -> list[LabeledUtterance]:
@@ -406,11 +410,10 @@ def run_experiment(config: ExperimentConfig) -> list[EvalReport]:
     with _stage("setup"):
         out_dir.mkdir(parents=True, exist_ok=True)
 
-    with _stage("load"):
-        es_all = _dedup(_load(config.es_indomain, "indomain"))
-        ldc = _load(config.ldc, "ldc")
-        en_raw = _load(config.en_indomain, "en")
-        pool = _load(config.opensubtitle_pool, "opensubtitle")
+    es_all = _dedup(_load(config, "es_indomain", "indomain"))
+    ldc = _load(config, "ldc", "ldc")
+    en_raw = _load(config, "en_indomain", "en")
+    pool = _load(config, "opensubtitle_pool", "opensubtitle")
 
     with _stage("split"):
         es_train, es_dev, es_test = split_corpus(es_all, seed=config.split_seed)

@@ -42,7 +42,7 @@ from functools import partial
 from pathlib import Path
 from typing import Callable, Protocol, Sequence
 
-from .corpus import CLASS_INDEX, CLASS_ORDER, LabeledUtterance, PunctClass, write_lines_atomic
+from .corpus import CLASS_INDEX, CLASS_ORDER, LabeledUtterance, PunctClass, read_json, write_json
 from .errors import (
     EmptyCorpus,
     MissingEnglishData,
@@ -333,8 +333,7 @@ class TaggerModel:
         }
 
     def save(self, path: str | Path) -> None:
-        text = json.dumps(self.to_json_dict(), ensure_ascii=False, sort_keys=True)
-        write_lines_atomic(path, [text, "\n"])
+        write_json(self.to_json_dict(), path)
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "TaggerModel":
@@ -376,14 +375,7 @@ class TaggerModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "TaggerModel":
-        try:
-            with open(path, encoding="utf-8") as fh:
-                obj = json.load(fh)
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ModelLoadError(f"cannot read {path}: {exc}") from exc
-        except (ValueError, RecursionError) as exc:
-            raise ModelLoadError(f"model file is not JSON: {exc}") from exc
-        return cls.from_json_dict(obj)
+        return cls.from_json_dict(read_json(path, ModelLoadError, "model file"))
 
 
 class _Averager:

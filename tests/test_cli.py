@@ -411,8 +411,9 @@ def _serve_listen_fails(model, address, capsys):
 
 
 @pytest.mark.parametrize(
-    "address", ["127.0.0.1:70000", "127.0.0.1:\u00b2", "127.0.0.1:-1"],
-    ids=["port-out-of-range", "non-ascii-digit", "negative-port"],
+    "address",
+    ["127.0.0.1:70000", "127.0.0.1:\u00b2", "127.0.0.1:-1", os.fsdecode(b"x\xff") + ":0"],
+    ids=["port-out-of-range", "non-ascii-digit", "negative-port", "unencodable-host"],
 )
 def test_serve_rejects_bad_listen_address(trained, capsys, address):
     _serve_listen_fails(trained[1], address, capsys)
@@ -504,6 +505,9 @@ def test_hostile_json_is_a_typed_error(tmp_path, capsys, argv, name, code, conte
     assert not (tmp_path / "o").exists()
 
 
+_STACKED = "line {}: token 'tal?!' stacks trailing marks\n"
+
+
 @pytest.mark.parametrize(
     "command, name, content, expected",
     [
@@ -516,10 +520,22 @@ def test_hostile_json_is_a_typed_error(tmp_path, capsys, argv, name, code, conte
         ("normalize", "labeled.jsonl", '{"tokens": ["ya"], "labels": ["PERIOD"]}\n',
          "line 1: normalize expects raw text records"),
         ("extract", "number.jsonl", '{"text": 5}\n', "line 1: text is not a string\n"),
+        ("normalize", "quotes.txt", "vale.\n\u00ab\u00bb\n", "line 2: text has no tokens"),
+        ("normalize", "blank.txt", "\nvale.\n\n\u00ab\u00bb\n", "line 4: text has no tokens"),
+        ("normalize", "quote.jsonl", '{"text": "vale."}\n{"text": "\\""}\n',
+         "line 2: text has no tokens"),
+        ("extract", "stacked.txt", "bueno hola.\n\nque tal?!\n", _STACKED.format(3)),
+        ("convert", "stacked.txt", "bueno hola.\n\nque tal?!\n", _STACKED.format(3)),
+        ("extract", "stacked.jsonl", '{"text": "bueno hola."}\n{"text": "que tal?!"}\n',
+         _STACKED.format(2)),
+        ("convert", "stacked.jsonl", '{"text": "bueno hola."}\n{"text": "que tal?!"}\n',
+         _STACKED.format(2)),
     ],
     ids=[
         "blank-lines-counted", "unicode-breaks-inside-lines", "mixed-kinds", "normalize-labeled",
-        "text-not-a-string",
+        "text-not-a-string", "normalize-quotes-only", "normalize-blank-lines-counted",
+        "normalize-jsonl-quote-only", "extract-refusal", "convert-refusal",
+        "extract-refusal-jsonl", "convert-refusal-jsonl",
     ],
 )
 def test_data_errors_name_the_file_line(tmp_path, capsys, command, name, content, expected):
@@ -527,6 +543,36 @@ def test_data_errors_name_the_file_line(tmp_path, capsys, command, name, content
     path.write_text(content, encoding="utf-8")
     assert main([command, "--in", str(path), "--out", str(tmp_path / "o")]) == 3
     assert capsys.readouterr().err.startswith(f"error: {expected}")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["normalize", "--in", "EMPTY"],
+        ["extract", "--in", "EMPTY"],
+        ["convert", "--in", "EMPTY"],
+        ["augment", "--source", "EMPTY", "--target-corpus", "TEST"],
+        ["augment", "--source", "TEST", "--target-corpus", "EMPTY"],
+        ["select", "--model-corpus", "EMPTY", "--pool", "TEST", "--k", "1"],
+        ["select", "--model-corpus", "TEST", "--pool", "EMPTY", "--k", "0"],
+        ["train", "--strategy", "es_only", "--es", "EMPTY"],
+        ["train", "--strategy", "joint", "--es", "TEST", "--en", "EMPTY"],
+        ["eval", "--model", "MODEL", "--test", "EMPTY"],
+    ],
+    ids=lambda argv: argv[0] + argv[argv.index("EMPTY") - 1],
+)
+@pytest.mark.parametrize("name", ["empty.jsonl", "blank.txt"])
+def test_an_empty_corpus_is_a_data_error(trained, tmp_path, capsys, argv, name):
+    _, model, test = trained
+    empty = tmp_path / name
+    # Blank lines are not records.
+    empty.write_text("" if name.endswith(".jsonl") else "\n \n", encoding="utf-8")
+    out = tmp_path / "o"
+    paths = {"EMPTY": str(empty), "TEST": str(test), "MODEL": str(model)}
+    argv = [paths.get(arg, arg) for arg in argv] + ["--out", str(out)]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == f"error: {empty} holds no utterances\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

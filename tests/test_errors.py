@@ -35,3 +35,26 @@ def _assert_same(got, want):
 def test_error_survives_pickling(cls):
     exc = cls(*ARGS.get(cls, ("something broke",)))
     _assert_same(pickle.loads(pickle.dumps(exc)), exc)
+
+
+def test_only_configuration_errors_exit_2():
+    exits_2 = {cls for cls in ERRORS if cls.exit_code == 2}
+    assert exits_2 == {errors.ConfigError, errors.ModelLoadError}
+    assert errors.PunctError("x").exit_code == 3
+
+
+@pytest.mark.parametrize(
+    "cause, code",
+    [
+        (errors.ConfigError("bad key"), 2),
+        (errors.ModelLoadError("bad model"), 2),
+        (errors.EmptyCorpus("no utterances"), 3),
+        (OSError("disk full"), 3),
+    ],
+    ids=["config", "model", "data", "os"],
+)
+def test_a_pipeline_error_exits_as_its_cause(cause, code):
+    exc = errors.PipelineError("load:ldc", cause)
+    assert exc.exit_code == code
+    # Grid workers send their failures back pickled.
+    assert pickle.loads(pickle.dumps(exc)).exit_code == code

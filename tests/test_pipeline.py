@@ -29,7 +29,9 @@ from espunct.corpus import (
 from espunct.errors import (
     ConfigError,
     DataLeakageError,
+    EmptyCorpus,
     IoFailure,
+    MalformedRecord,
     MalformedRequest,
     PipelineError,
     ZeroTerminalSource,
@@ -737,6 +739,36 @@ def test_run_experiment_split_failure_names_stage(tmp_path):
     assert err.value.stage == "split"
 
 
+@pytest.mark.parametrize("key", ["es_indomain", "ldc", "opensubtitle_pool", "en_indomain"])
+def test_run_experiment_refuses_an_empty_dataset(data_dir, tmp_path, key):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("", encoding="utf-8")
+    obj = base_config(data_dir, tmp_path / "out")
+    obj["datasets"][key] = str(empty)
+    with pytest.raises(PipelineError) as err:
+        run_experiment(config_from_dict(obj, data_dir))
+    assert err.value.stage == f"load:{key}"
+    assert isinstance(err.value.cause, EmptyCorpus)
+    assert str(err.value) == f"stage 'load:{key}': {empty} holds no utterances"
+
+
+def test_a_grid_load_error_names_its_dataset_and_line(data_dir, tmp_path):
+    pool = tmp_path / "pool.jsonl"
+    write_jsonl(
+        [RawUtterance("pues tengo problema."), RawUtterance("(risas) bueno vale.")], pool
+    )
+    obj = base_config(data_dir, tmp_path / "out")
+    obj["datasets"]["opensubtitle_pool"] = str(pool)
+    with pytest.raises(PipelineError) as err:
+        run_experiment(config_from_dict(obj, data_dir))
+    assert err.value.stage == "load:opensubtitle_pool"
+    assert isinstance(err.value.cause, MalformedRecord)
+    assert str(err.value) == (
+        "stage 'load:opensubtitle_pool': line 2: "
+        "token '(risas)' keeps unnormalized punctuation '('"
+    )
+
+
 @pytest.mark.parametrize(
     "dataset, strategies, stage",
     [
@@ -928,7 +960,10 @@ def _tcp_answers(server, payload: bytes, count: int) -> list[dict]:
 @pytest.fixture()
 def tcp_server(served_model):
     server = PunctServer(("127.0.0.1", 0), served_model)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # A short poll lets shutdown() return without waiting out the default 0.5 s.
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
     thread.start()
     try:
         yield server
