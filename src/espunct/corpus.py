@@ -133,10 +133,12 @@ _TRAILING_CHARS = "?!,."
 # removes or rewrites, plus brackets of every kind and dashes, which are
 # only tolerated inside a token.  The plain hyphen stays legal at
 # boundaries so disfluencies like "que-" keep their token text.
-REJECTED_BOUNDARY = set(
+REJECTED_BOUNDARY = frozenset(
     "\"'\u00ab\u00bb\u201c\u201d\u2018\u2019:;\u2026()[]{}\u2014\u2013"
 )
-_BOUNDARY_REJECTS = frozenset(SUPPORTED_MARKS) | REJECTED_BOUNDARY
+# Every character a token may not start or end with, as str.strip takes them.
+BOUNDARY_CHARS = SUPPORTED_MARKS + "".join(sorted(REJECTED_BOUNDARY))
+_BOUNDARY_REJECTS = frozenset(BOUNDARY_CHARS)
 
 # Each label keyed by itself; a member equals and hashes as its value
 # string, so the value string finds it too.

@@ -32,8 +32,7 @@ from .augment import (
     write_histogram_report,
 )
 from .corpus import (
-    REJECTED_BOUNDARY,
-    SUPPORTED_MARKS,
+    BOUNDARY_CHARS,
     LabeledUtterance,
     PunctClass,
     as_labeled,
@@ -86,7 +85,14 @@ _CONFIG_KEYS = {
     "eval",
     "output_dir",
 }
-_DATASET_KEYS = {"es_indomain", "ldc", "opensubtitle_pool", "en_indomain"}
+# Each datasets key and the source name its records carry, in load order.
+# Every row trains on the in-domain Spanish, so only that one is required.
+_DATASETS = {
+    "es_indomain": "indomain",
+    "ldc": "ldc",
+    "en_indomain": "en",
+    "opensubtitle_pool": "opensubtitle",
+}
 _ROW_KEYS = {"name", "strategy", "spanish_sources", "augment"}
 
 
@@ -146,14 +152,12 @@ class ExperimentRow:
 class ExperimentConfig:
     """Validated experiment description.
 
+    datasets holds the path of each configured dataset by source name.
     Relative dataset paths in the JSON are resolved against the config
     file's directory.
     """
 
-    es_indomain: Path
-    ldc: Path | None
-    opensubtitle_pool: Path | None
-    en_indomain: Path | None
+    datasets: dict[str, Path]
     selection_k: int
     lm_order: int
     augmentation_seed: int
@@ -165,10 +169,10 @@ class ExperimentConfig:
     output_dir: Path
 
 
-def _dataset_path(datasets: dict, key: str, base_dir: Path, required: bool) -> Path | None:
-    value = datasets.get(key)
+def _dataset_path(section: dict, key: str, base_dir: Path) -> Path | None:
+    value = section.get(key)
     if value is None:
-        _require(not required, f"datasets.{key} is required")
+        _require(_DATASETS[key] != "indomain", f"datasets.{key} is required")
         return None
     _require(isinstance(value, str), f"datasets.{key} must be a path string")
     path = Path(base_dir, value)  # an absolute value replaces base_dir
@@ -186,9 +190,7 @@ def parse_strategy(name: str) -> Strategy:
         ) from None
 
 
-def _parse_row(
-    index: int, entry: object, available: tuple[str, ...]
-) -> ExperimentRow:
+def _parse_row(index: int, entry: object, datasets: dict[str, Path]) -> ExperimentRow:
     where = f"strategies[{index}]"
     if isinstance(entry, str):
         entry = {"strategy": entry}
@@ -202,16 +204,20 @@ def _parse_row(
         all(ch.isalnum() or ch in "._-" for ch in name),
         f"row name {name!r} has characters unsafe for file names",
     )
-    sources = entry.get("spanish_sources", list(available))
+    sources = entry.get("spanish_sources", [s for s in SPANISH_SOURCES if s in datasets])
     _require(
         isinstance(sources, list) and all(isinstance(s, str) for s in sources),
         "spanish_sources must be a list of source names",
     )
     for s in sources:
         _require(s in SPANISH_SOURCES, f"unknown Spanish source {s!r}")
-        _require(s in available, f"source {s!r} has no dataset configured")
+        _require(s in datasets, f"source {s!r} has no dataset configured")
     _require("indomain" in sources, f"row {name!r} must train on the in-domain split")
     _require(len(set(sources)) == len(sources), f"row {name!r} repeats a source")
+    _require(
+        strategy is Strategy.ES_ONLY or "en" in datasets,
+        f"row {name!r} needs datasets.en_indomain",
+    )
     ordered = tuple(s for s in SPANISH_SOURCES if s in sources)
     # Augmenting in-domain data alone is a no-op, so such a row is not augmented.
     augment = _bool(entry, where, "augment", False) and len(ordered) > 1
@@ -227,13 +233,11 @@ def config_from_dict(
     version = _int(obj, "config", "schema_version", None)
     _require(version == SCHEMA_VERSION, f"unsupported schema_version {version!r}")
 
-    datasets = _section(obj.get("datasets", {}), "datasets", _DATASET_KEYS)
-    es_indomain = _dataset_path(datasets, "es_indomain", base_dir, required=True)
-    ldc = _dataset_path(datasets, "ldc", base_dir, required=False)
-    pool = _dataset_path(datasets, "opensubtitle_pool", base_dir, required=False)
-    en = _dataset_path(datasets, "en_indomain", base_dir, required=False)
+    section = _section(obj.get("datasets", {}), "datasets", set(_DATASETS))
+    paths = {s: _dataset_path(section, key, base_dir) for key, s in _DATASETS.items()}
+    datasets = {s: path for s, path in paths.items() if path is not None}
 
-    if pool is None:
+    if "opensubtitle" not in datasets:
         _require(obj.get("selection") is None, "selection configured without an opensubtitle_pool")
         selection_k, lm_order = 0, DEFAULT_ORDER
     else:
@@ -247,32 +251,17 @@ def config_from_dict(
         augmentation, "augmentation", "max_tokens", DEFAULT_MAX_TOKENS, low=1
     )
 
-    available = tuple(
-        s
-        for s, present in (
-            ("indomain", True),
-            ("ldc", ldc is not None),
-            ("opensubtitle", pool is not None),
-        )
-        if present
-    )
     strategies = obj.get("strategies")
     _require(
         isinstance(strategies, list) and strategies,
         "strategies must be a non-empty list",
     )
-    rows = tuple(_parse_row(i, entry, available) for i, entry in enumerate(strategies))
+    rows = tuple(_parse_row(i, entry, datasets) for i, entry in enumerate(strategies))
     names = [row.name for row in rows]
     _require(
         len(set(names)) == len(names),
         f"row names repeat: {sorted(n for n in names if names.count(n) > 1)}",
     )
-    for row in rows:
-        if row.strategy is not Strategy.ES_ONLY:
-            _require(
-                en is not None,
-                f"row {row.name!r} needs datasets.en_indomain",
-            )
 
     train = _section(obj.get("train", {}), "train", {"epochs", "seed", "shuffle"})
     train_seed = _int(train, "train", "seed", 0)
@@ -289,10 +278,7 @@ def config_from_dict(
     )
 
     return ExperimentConfig(
-        es_indomain=es_indomain,
-        ldc=ldc,
-        opensubtitle_pool=pool,
-        en_indomain=en,
+        datasets=datasets,
         selection_k=selection_k,
         lm_order=lm_order,
         augmentation_seed=augmentation_seed,
@@ -318,19 +304,20 @@ def load_config(path: str | Path, seed_override: int | None = None) -> Experimen
 # --- experiment runner -----------------------------------------------------
 
 
-def _load(
-    config: ExperimentConfig, key: str, origin: str
-) -> list[LabeledUtterance] | None:
-    """The dataset configured under datasets.key as labeled records, in
-    stage load:key; None when not configured.  An empty file is EmptyCorpus."""
-    path = getattr(config, key)
-    if path is None:
-        return None
-    with _stage(f"load:{key}"):
-        records = read_jsonl(path)
-        if not records:
-            raise EmptyCorpus(f"{path} holds no utterances")
-        return as_labeled(records, origin)
+def _load(config: ExperimentConfig) -> dict[str, list[LabeledUtterance]]:
+    """Every configured dataset as labeled records by source name, each
+    loaded in stage load:<datasets key> in _DATASETS order.  An empty file
+    is EmptyCorpus."""
+    loaded = {}
+    for key, source in _DATASETS.items():
+        path = config.datasets.get(source)
+        if path is not None:
+            with _stage(f"load:{key}"):
+                records = read_jsonl(path)
+                if not records:
+                    raise EmptyCorpus(f"{path} holds no utterances")
+                loaded[source] = as_labeled(records, source)
+    return loaded
 
 
 def _dedup(corpus: Sequence[LabeledUtterance]) -> list[LabeledUtterance]:
@@ -410,10 +397,11 @@ def run_experiment(config: ExperimentConfig) -> list[EvalReport]:
     with _stage("setup"):
         out_dir.mkdir(parents=True, exist_ok=True)
 
-    es_all = _dedup(_load(config, "es_indomain", "indomain"))
-    ldc = _load(config, "ldc", "ldc")
-    en_raw = _load(config, "en_indomain", "en")
-    pool = _load(config, "opensubtitle_pool", "opensubtitle")
+    # source_data keeps the out-of-domain Spanish: LDC now, the pool once selected.
+    source_data = _load(config)
+    es_all = _dedup(source_data.pop("indomain"))
+    en_raw = source_data.pop("en", None)
+    pool = source_data.pop("opensubtitle", None)
 
     with _stage("split"):
         es_train, es_dev, es_test = split_corpus(es_all, seed=config.split_seed)
@@ -422,13 +410,11 @@ def run_experiment(config: ExperimentConfig) -> list[EvalReport]:
         write_jsonl(es_test, out_dir / "es_test.jsonl")
         test_keys = {(u.tokens, u.labels) for u in es_test}
 
-    selected = None
     if pool is not None:
         with _stage("select"):
-            selected = _select(config, es_train, pool, out_dir)
+            source_data["opensubtitle"] = _select(config, es_train, pool, out_dir)
 
     augmented: dict[str, list[LabeledUtterance]] = {}
-    source_data = {"ldc": ldc, "opensubtitle": selected}
     with _stage("augment"):
         target = histogram(es_train)
         needs_augment = {
@@ -620,8 +606,6 @@ def _write_comparison(
 
 # --- serving ---------------------------------------------------------------
 
-_BOUNDARY_STRIP = SUPPORTED_MARKS + "".join(sorted(REJECTED_BOUNDARY))
-
 
 def tokenize_for_restore(text: str) -> list[str]:
     """Whitespace tokens with all boundary punctuation peeled off.
@@ -631,7 +615,7 @@ def tokenize_for_restore(text: str) -> list[str]:
     """
     tokens = []
     for word in normalize_punctuation(text).split():
-        word = word.strip(_BOUNDARY_STRIP)
+        word = word.strip(BOUNDARY_CHARS)
         if word:
             tokens.append(word)
     return tokens

@@ -17,6 +17,8 @@ from pathlib import Path
 import pytest
 
 from espunct.corpus import (
+    BOUNDARY_CHARS,
+    REJECTED_BOUNDARY,
     LabeledUtterance,
     PunctClass,
     RawUtterance,
@@ -128,7 +130,12 @@ def base_config(data_dir, out_dir):
 
 def test_config_parses_and_resolves(data_dir, tmp_path):
     cfg = config_from_dict(base_config(data_dir, tmp_path / "out"), data_dir)
-    assert cfg.es_indomain == data_dir / "es.jsonl"
+    assert cfg.datasets == {
+        "indomain": data_dir / "es.jsonl",
+        "ldc": data_dir / "ldc.jsonl",
+        "en": data_dir / "en.jsonl",
+        "opensubtitle": data_dir / "pool.jsonl",
+    }
     assert cfg.selection_k == 3
     assert cfg.lm_order == 3
     assert cfg.augmentation_seed == 1
@@ -150,8 +157,8 @@ def test_config_seed_override(data_dir, tmp_path):
     assert cfg.train.epochs == 2
 
 
-def _expect_config_error(obj, data_dir):
-    with pytest.raises(ConfigError):
+def _expect_config_error(obj, data_dir, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
         config_from_dict(obj, data_dir)
 
 
@@ -160,63 +167,77 @@ def test_config_rejections(data_dir, tmp_path):
 
     obj = base_config(data_dir, out)
     del obj["datasets"]["es_indomain"]
-    _expect_config_error(obj, data_dir)
+    _expect_config_error(obj, data_dir, "datasets.es_indomain is required")
+
+    obj = base_config(data_dir, out)
+    obj["datasets"]["es_indomain"] = None
+    _expect_config_error(obj, data_dir, "datasets.es_indomain is required")
+
+    obj = base_config(data_dir, out)
+    obj["datasets"]["ldc"] = 5
+    _expect_config_error(obj, data_dir, "datasets.ldc must be a path string")
 
     obj = base_config(data_dir, out)
     obj["datasets"]["es_indomain"] = "absent.jsonl"
-    _expect_config_error(obj, data_dir)
+    absent = data_dir / "absent.jsonl"
+    _expect_config_error(obj, data_dir, f"datasets.es_indomain: no such file: {absent}")
 
     obj = base_config(data_dir, out)
     obj["schema_version"] = 2
-    _expect_config_error(obj, data_dir)
+    _expect_config_error(obj, data_dir, "unsupported schema_version 2")
 
     obj = base_config(data_dir, out)
     obj["surprise"] = 1
-    _expect_config_error(obj, data_dir)
+    _expect_config_error(obj, data_dir, "unknown config keys: ['surprise']")
 
     obj = base_config(data_dir, out)
     obj["datasets"]["extra"] = "es.jsonl"
-    _expect_config_error(obj, data_dir)
+    _expect_config_error(obj, data_dir, "unknown datasets keys: ['extra']")
 
     obj = base_config(data_dir, out)
     obj["strategies"] = ["ES_SOMETIMES"]
-    _expect_config_error(obj, data_dir)
+    _expect_config_error(
+        obj,
+        data_dir,
+        "unknown strategy 'ES_SOMETIMES'; "
+        "choose from ['ES_ONLY', 'ES_THEN_EN', 'EN_THEN_ES', 'JOINT']",
+    )
 
     obj = base_config(data_dir, out)
     obj["strategies"] = ["ES_ONLY", {"name": "es_only", "strategy": "JOINT"}]
-    _expect_config_error(obj, data_dir)
+    _expect_config_error(obj, data_dir, "row names repeat: ['es_only', 'es_only']")
 
     obj = base_config(data_dir, out)
     obj["strategies"] = []
-    _expect_config_error(obj, data_dir)
+    _expect_config_error(obj, data_dir, "strategies must be a non-empty list")
 
     obj = base_config(data_dir, out)
     obj["strategies"] = [{"name": "a/b", "strategy": "ES_ONLY"}]
-    _expect_config_error(obj, data_dir)
+    _expect_config_error(obj, data_dir, "row name 'a/b' has characters unsafe for file names")
 
     obj = base_config(data_dir, out)
     obj["strategies"] = [
         {"strategy": "ES_ONLY", "spanish_sources": ["ldc"]}
     ]
-    _expect_config_error(obj, data_dir)
+    _expect_config_error(obj, data_dir, "row 'es_only' must train on the in-domain split")
 
     obj = base_config(data_dir, out)
     obj["strategies"] = [
         {"strategy": "ES_ONLY", "spanish_sources": ["indomain", "indomain"]}
     ]
-    _expect_config_error(obj, data_dir)
+    _expect_config_error(obj, data_dir, "row 'es_only' repeats a source")
 
     obj = base_config(data_dir, out)
     del obj["datasets"]["opensubtitle_pool"]
-    _expect_config_error(obj, data_dir)  # selection without a pool
+    _expect_config_error(obj, data_dir, "selection configured without an opensubtitle_pool")
 
     obj = base_config(data_dir, out)
     obj["selection"] = {"order": 3}
-    _expect_config_error(obj, data_dir)  # k is required
+    _expect_config_error(obj, data_dir, "selection.k must be an integer >= 0")
 
     obj = base_config(data_dir, out)
     del obj["datasets"]["en_indomain"]
-    _expect_config_error(obj, data_dir)  # joint row needs English data
+    _expect_config_error(obj, data_dir, "row 'joint' needs datasets.en_indomain")
 
     obj = base_config(data_dir, out)
     del obj["output_dir"]
@@ -231,19 +252,19 @@ def test_config_rejections(data_dir, tmp_path):
 
     obj = base_config(data_dir, out)
     obj["train"]["epochs"] = 0
-    _expect_config_error(obj, data_dir)
+    _expect_config_error(obj, data_dir, "train.epochs must be an integer >= 1")
 
     obj = base_config(data_dir, out)
     obj["train"]["momentum"] = 0.9
-    _expect_config_error(obj, data_dir)
+    _expect_config_error(obj, data_dir, "unknown train keys: ['momentum']")
 
     obj = base_config(data_dir, out)
     obj["eval"]["bootstrap"] = True
-    _expect_config_error(obj, data_dir)
+    _expect_config_error(obj, data_dir, "unknown eval keys: ['bootstrap']")
 
     obj = base_config(data_dir, out)
     obj["augmentation"]["seed"] = True
-    _expect_config_error(obj, data_dir)
+    _expect_config_error(obj, data_dir, "augmentation.seed must be an integer")
 
 
 _INT_KEYS = [
@@ -289,7 +310,7 @@ def test_config_null_selection_without_pool(data_dir, tmp_path):
     obj["selection"] = None
     obj["strategies"] = ["ES_ONLY"]
     cfg = config_from_dict(obj, data_dir, seed_override=7)
-    assert cfg.opensubtitle_pool is None
+    assert "opensubtitle" not in cfg.datasets
     assert (cfg.selection_k, cfg.lm_order) == (0, 4)
     assert (cfg.train.seed, cfg.augmentation_seed, cfg.split_seed) == (7, 7, 7)
 
@@ -302,10 +323,21 @@ def test_config_minimal_es_only(data_dir, tmp_path):
         "output_dir": str(tmp_path / "out"),
     }
     cfg = config_from_dict(obj, data_dir)
-    assert cfg.ldc is None
+    assert cfg.datasets == {"indomain": data_dir / "es.jsonl"}
     assert cfg.selection_k == 0
     assert cfg.rows[0].spanish_sources == ("indomain",)
     assert cfg.train == TrainConfig()
+
+
+def test_the_readme_config_example_parses(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```json\n(.*?)```", readme, re.S)
+    obj = json.loads(next(block for block in blocks if '"datasets"' in block))
+    assert set(obj["datasets"]) == set(pipeline._DATASETS)
+    for name in obj["datasets"].values():
+        (tmp_path / name).touch()
+    cfg = config_from_dict(obj, tmp_path)
+    assert [row.name for row in cfg.rows] == ["es_only", "joint", "aug"]
 
 
 def test_load_config_errors(tmp_path):
@@ -752,6 +784,26 @@ def test_run_experiment_refuses_an_empty_dataset(data_dir, tmp_path, key):
     assert str(err.value) == f"stage 'load:{key}': {empty} holds no utterances"
 
 
+@pytest.mark.parametrize(
+    "empty_keys, stage",
+    [
+        (("ldc", "opensubtitle_pool"), "load:ldc"),
+        (("en_indomain", "opensubtitle_pool"), "load:en_indomain"),
+    ],
+)
+def test_run_experiment_loads_the_datasets_in_a_fixed_order(
+    data_dir, tmp_path, empty_keys, stage
+):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("", encoding="utf-8")
+    obj = base_config(data_dir, tmp_path / "out")
+    for key in empty_keys:
+        obj["datasets"][key] = str(empty)
+    with pytest.raises(PipelineError) as err:
+        run_experiment(config_from_dict(obj, data_dir))
+    assert err.value.stage == stage
+
+
 def test_a_grid_load_error_names_its_dataset_and_line(data_dir, tmp_path):
     pool = tmp_path / "pool.jsonl"
     write_jsonl(
@@ -871,6 +923,16 @@ def test_tokenize_for_restore():
 def test_tokenize_for_restore_strips_brackets():
     assert tokenize_for_restore("[hola] que tal") == ["hola", "que", "tal"]
     assert tokenize_for_restore('{"a": NaN}') == ["a", "NaN"]
+
+
+def test_every_boundary_char_is_stripped_and_refused_at_a_token_edge():
+    with pytest.raises(AttributeError):
+        REJECTED_BOUNDARY.add("x")
+    for ch in BOUNDARY_CHARS:
+        assert tokenize_for_restore(f"{ch}hola{ch} que") == ["hola", "que"], ch
+        for token in (ch + "hola", "hola" + ch):
+            with pytest.raises(ValueError, match="boundary punctuation mark"):
+                LabeledUtterance((token,), (PunctClass.NONE,))
 
 
 def test_handle_request_success_shape(served_model):
