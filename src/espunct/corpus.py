@@ -2,7 +2,8 @@
 
 Utterances live in two forms: raw punctuated text, and a parallel
 (tokens, labels) pair where each label says which punctuation attaches
-to that token.  This module owns the label inventory, the punctuation
+to that token.  This module owns the label inventory (one table gives
+each kind of pair its opening, closing and full label), the punctuation
 normalizer, the reversible text<->labels mapping, JSONL round-trip IO,
 the atomic line writer every artifact goes through, JSON document IO,
 and the record conversions the CLI and the pipeline share (as_labeled, as_text).
@@ -77,32 +78,28 @@ class PunctClass(str, Enum):
         return _KIND.get(self)
 
 
-_OPENING = frozenset({PunctClass.OPEN_QUESTION, PunctClass.OPEN_EXCLAMATION})
-_CLOSING = frozenset({PunctClass.CLOSE_QUESTION, PunctClass.CLOSE_EXCLAMATION})
-_FULL = frozenset({PunctClass.FULL_QUESTION, PunctClass.FULL_EXCLAMATION})
+# The (opening, closing, full) label of each kind of pair: the one place
+# the pair forms are written.  Every table below is read off it.
+_PAIR_FORMS = {
+    Kind.QUESTION: (
+        PunctClass.OPEN_QUESTION,
+        PunctClass.CLOSE_QUESTION,
+        PunctClass.FULL_QUESTION,
+    ),
+    Kind.EXCLAMATION: (
+        PunctClass.OPEN_EXCLAMATION,
+        PunctClass.CLOSE_EXCLAMATION,
+        PunctClass.FULL_EXCLAMATION,
+    ),
+}
+OPENER_FOR, CLOSER_FOR, FULL_FOR = (
+    {kind: forms[i] for kind, forms in _PAIR_FORMS.items()} for i in range(3)
+)
+_OPENING, _CLOSING, _FULL = (
+    frozenset(table.values()) for table in (OPENER_FOR, CLOSER_FOR, FULL_FOR)
+)
 _TERMINATING = frozenset({PunctClass.PERIOD}) | _CLOSING | _FULL
-
-_KIND = {
-    PunctClass.OPEN_QUESTION: Kind.QUESTION,
-    PunctClass.CLOSE_QUESTION: Kind.QUESTION,
-    PunctClass.FULL_QUESTION: Kind.QUESTION,
-    PunctClass.OPEN_EXCLAMATION: Kind.EXCLAMATION,
-    PunctClass.CLOSE_EXCLAMATION: Kind.EXCLAMATION,
-    PunctClass.FULL_EXCLAMATION: Kind.EXCLAMATION,
-}
-
-OPENER_FOR = {
-    Kind.QUESTION: PunctClass.OPEN_QUESTION,
-    Kind.EXCLAMATION: PunctClass.OPEN_EXCLAMATION,
-}
-CLOSER_FOR = {
-    Kind.QUESTION: PunctClass.CLOSE_QUESTION,
-    Kind.EXCLAMATION: PunctClass.CLOSE_EXCLAMATION,
-}
-FULL_FOR = {
-    Kind.QUESTION: PunctClass.FULL_QUESTION,
-    Kind.EXCLAMATION: PunctClass.FULL_EXCLAMATION,
-}
+_KIND = {label: kind for kind, forms in _PAIR_FORMS.items() for label in forms}
 
 CLASS_ORDER: tuple[PunctClass, ...] = tuple(PunctClass)
 # Each label's position in CLASS_ORDER.  A member hashes and compares as

@@ -73,7 +73,6 @@ from .tagger import (
 )
 
 SCHEMA_VERSION = 1
-SPANISH_SOURCES = ("indomain", "ldc", "opensubtitle")
 
 _CONFIG_KEYS = {
     "schema_version",
@@ -93,6 +92,7 @@ _DATASETS = {
     "en_indomain": "en",
     "opensubtitle_pool": "opensubtitle",
 }
+SPANISH_SOURCES = tuple(s for s in _DATASETS.values() if s != "en")
 _ROW_KEYS = {"name", "strategy", "spanish_sources", "augment"}
 
 
@@ -260,7 +260,7 @@ def config_from_dict(
     names = [row.name for row in rows]
     _require(
         len(set(names)) == len(names),
-        f"row names repeat: {sorted(n for n in names if names.count(n) > 1)}",
+        f"row names repeat: {sorted({n for n in names if names.count(n) > 1})}",
     )
 
     train = _section(obj.get("train", {}), "train", {"epochs", "seed", "shuffle"})

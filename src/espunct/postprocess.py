@@ -1,10 +1,12 @@
 """Validation and repair of paired-mark structure in label sequences.
 
 A greedy tagger can open a question and never close it, or close one
-that never opened.  Repair turns any label sequence into one that passes
-validate_pairing without touching tokens.  It is the one code path that
-places pairing marks: serving and evaluation repair predictions with it,
-and English-to-Spanish conversion is repair of close-only labels.
+that never opened.  Repair turns any label sequence into a valid one
+without touching tokens, and it is the only statement of the pairing
+rule: a sequence is valid exactly when repair would change nothing.  It
+is also the one code path that places pairing marks: serving and
+evaluation repair predictions with it, and English-to-Spanish conversion
+is repair of close-only labels.
 """
 
 from __future__ import annotations
@@ -20,35 +22,21 @@ _PAIRED = frozenset(_OPENS) | frozenset(_CLOSES)
 
 
 def validate_pairing(labels: Sequence[PunctClass]) -> bool:
-    """True when opens and closes of each kind nest flatly and match.
-
-    At most one pair may be open at a time; full labels are self-closed
-    and legal anywhere, including inside an open pair.
-    """
-    pending = None
-    for lab in labels:
-        kind = _OPENS.get(lab)
-        if kind is not None:
-            if pending is not None:
-                return False
-            pending = kind
-            continue
-        kind = _CLOSES.get(lab)
-        if kind is not None:
-            if pending is not kind:
-                return False
-            pending = None
-    return pending is None
+    """True when repair_pairing would leave labels as they are."""
+    return repair_pairing(labels) == list(labels)
 
 
 def repair_pairing(labels: Sequence[PunctClass]) -> list[PunctClass]:
-    """Minimal rewrite of labels so that validate_pairing holds.
+    """Minimal rewrite of labels into a valid sequence.
 
-    Unmatched opens become NONE.  Each unmatched close gains a partner:
-    an opener at its chunk start, or the full form when the chunk is one
-    token or a different pair is already open around it.  Matched pairs
-    and all non-paired labels survive untouched.  The result is a fixed
-    point: repairing it again changes nothing.
+    Valid means each open is matched by a later close of its kind, each
+    close by an earlier open, and at most one pair is open at a time;
+    full labels are self-closed and legal anywhere, including inside an
+    open pair.  Unmatched opens become NONE.  Each unmatched close gains
+    a partner: an opener at its chunk start, or the full form when the
+    chunk is one token or a different pair is already open around it.
+    Matched pairs and all non-paired labels survive untouched.  The
+    result is a fixed point: repairing it again changes nothing.
     """
     work = list(labels)
     if _PAIRED.isdisjoint(work):

@@ -125,6 +125,24 @@ def random_english_labels(rng: random.Random, n: int) -> list[PunctClass]:
     return list(rng.choices(choices, weights=weights, k=n))
 
 
+def _statement_labels(starters: int, body: int) -> list[PunctClass]:
+    """Labels of a statement: a comma on each of its starter words, then
+    body words of which the last carries the period."""
+    return (
+        [PunctClass.COMMA] * starters
+        + [PunctClass.NONE] * (body - 1)
+        + [PunctClass.PERIOD]
+    )
+
+
+def _pair_labels(kind: Kind, n: int) -> list[PunctClass]:
+    """Labels of an n-token question or exclamation in Spanish convention:
+    the full form on a single token, else opener, NONE..., closer."""
+    if n == 1:
+        return [FULL_FOR[kind]]
+    return [OPENER_FOR[kind]] + [PunctClass.NONE] * (n - 2) + [CLOSER_FOR[kind]]
+
+
 # --- rule corpus: labels decidable from local lexical cues ----------------
 
 _RULE_STARTERS = ("bueno", "mire", "vale", "entonces", "pues", "oiga")
@@ -162,11 +180,7 @@ def _rule_sentence(
     # utterance end.
     draw = rng.random()
     if draw < 0.60:
-        tokens: list[str] = []
-        labels: list[PunctClass] = []
-        if not first or rng.random() < 0.5:
-            tokens.append(rng.choice(_RULE_STARTERS))
-            labels.append(PunctClass.COMMA)
+        starters = [rng.choice(_RULE_STARTERS)] if not first or rng.random() < 0.5 else []
         body = [rng.choice(_RULE_FILLERS) for _ in range(rng.randint(2, 5))]
         if rng.random() < 0.08:
             # Numbers stay off the final slot so PERIOD keeps its cue.
@@ -174,10 +188,7 @@ def _rule_sentence(
                 rng.randrange(len(body)),
                 f"{rng.randint(1, 99)},{rng.randint(0, 9)}",
             )
-        tokens.extend(body)
-        labels.extend([PunctClass.NONE] * (len(body) - 1))
-        labels.append(PunctClass.PERIOD)
-        return tokens, labels
+        return starters + body, _statement_labels(len(starters), len(body))
     if draw < 0.85:
         head, fills, kind = _RULE_QWORDS, _RULE_QFILLS, Kind.QUESTION
         body_max = 3
@@ -185,14 +196,8 @@ def _rule_sentence(
         head, fills, kind = _RULE_EWORDS, _RULE_EFILLS, Kind.EXCLAMATION
         body_max = 2
     tokens = [rng.choice(head)]
-    body_len = rng.randint(0, body_max)
-    if body_len == 0:
-        return tokens, [FULL_FOR[kind]]
-    tokens.extend(rng.choice(fills) for _ in range(body_len))
-    labels = [OPENER_FOR[kind]]
-    labels.extend([PunctClass.NONE] * (body_len - 1))
-    labels.append(CLOSER_FOR[kind])
-    return tokens, labels
+    tokens.extend(rng.choice(fills) for _ in range(rng.randint(0, body_max)))
+    return tokens, _pair_labels(kind, len(tokens))
 
 
 def rule_corpus(n: int, seed: int) -> list[LabeledUtterance]:
@@ -300,10 +305,7 @@ def _es_statement(
     negation_p: float,
     confirm_p: float,
 ) -> tuple[list[str], list[PunctClass]]:
-    tokens: list[str] = []
-    if rng.random() < (0.5 if first else 0.30):
-        tokens.append(rng.choice(_ES_STARTERS))
-    starter_n = len(tokens)
+    starters = [rng.choice(_ES_STARTERS)] if rng.random() < (0.5 if first else 0.30) else []
     body = [rng.choice(_ES_FILLERS) for _ in range(rng.randint(2, 4))]
     if rng.random() < conflict_p:
         # "bien ya" sits mid-sentence, both tokens NONE.
@@ -315,21 +317,14 @@ def _es_statement(
     if rng.random() < confirm_p:
         # Confirmation sign-off carries the period.
         body.append(rng.choice(_CONFIRM_WORDS))
-    tokens.extend(body)
-    labels = [PunctClass.COMMA] * starter_n
-    labels.extend([PunctClass.NONE] * (len(body) - 1))
-    labels.append(PunctClass.PERIOD)
-    return tokens, labels
+    return starters + body, _statement_labels(len(starters), len(body))
 
 
 def _es_question(rng: random.Random) -> tuple[list[str], list[PunctClass]]:
     body_len = rng.randint(1, 3)
     tokens = [rng.choice(_ES_QWORDS)]
     tokens.extend(rng.choice(_ES_QFILLS) for _ in range(body_len))
-    labels = [PunctClass.OPEN_QUESTION]
-    labels.extend([PunctClass.NONE] * (body_len - 1))
-    labels.append(PunctClass.CLOSE_QUESTION)
-    return tokens, labels
+    return tokens, _pair_labels(Kind.QUESTION, len(tokens))
 
 
 def _es_utterance(
@@ -378,24 +373,19 @@ def _en_utterance(
         labels.append(PunctClass.CLOSE_EXCLAMATION)
     for _ in range(sentences):
         if rng.random() < 0.6:
-            if not tokens or rng.random() < 0.7:
-                tokens.append(rng.choice(_EN_STARTERS))
-                labels.append(PunctClass.COMMA)
+            starters = [rng.choice(_EN_STARTERS)] if not tokens or rng.random() < 0.7 else []
             body = [rng.choice(_EN_FILLERS) for _ in range(rng.randint(2, 4))]
-            tokens.extend(body)
-            labels.extend([PunctClass.NONE] * (len(body) - 1))
-            labels.append(PunctClass.PERIOD)
+            tokens.extend(starters + body)
+            labels.extend(_statement_labels(len(starters), len(body)))
             if rng.random() < conflict_p:
                 # Sentence-final "bien ya." is idiomatic here, the same
                 # surface the Spanish side uses mid-sentence; more words
                 # always follow so the period cannot ride on end-of-line
                 # position cues.
                 tokens.extend([_SHARED_CONTEXT, rng.choice(_SHARED_CONFLICT)])
-                labels.extend([PunctClass.NONE, PunctClass.PERIOD])
                 tail = [rng.choice(_EN_FILLERS) for _ in range(rng.randint(2, 3))]
                 tokens.extend(tail)
-                labels.extend([PunctClass.NONE] * (len(tail) - 1))
-                labels.append(PunctClass.PERIOD)
+                labels.extend(_statement_labels(0, 2) + _statement_labels(0, len(tail)))
         else:
             body_len = rng.randint(1, 3)
             tokens.append(rng.choice(_EN_QWORDS))
@@ -416,25 +406,18 @@ def _single_sentence(
     # extra vocabulary, so these lines never coincide with in-domain
     # utterances and the pipeline leakage check stays quiet.
     if rng.random() < 0.7:
-        tokens = []
-        if rng.random() < 0.5:
-            tokens.append(rng.choice(_ES_STARTERS))
-        starter_n = len(tokens)
+        starters = [rng.choice(_ES_STARTERS)] if rng.random() < 0.5 else []
         body = [rng.choice(_ES_FILLERS) for _ in range(rng.randint(2, 5))]
         body.insert(rng.randrange(len(body)), rng.choice(extra))
         if rng.random() < 0.4:
             body.append(rng.choice(_CONFIRM_WORDS))
-        tokens.extend(body)
-        labels = [PunctClass.COMMA] * starter_n
-        labels.extend([PunctClass.NONE] * (len(body) - 1))
-        labels.append(PunctClass.PERIOD)
+        tokens = starters + body
+        labels = _statement_labels(len(starters), len(body))
     else:
         tokens = [rng.choice(_ES_QWORDS)]
         tokens.extend(rng.choice(_ES_QFILLS) for _ in range(rng.randint(1, 2)))
         tokens.append(rng.choice(extra))
-        labels = [PunctClass.OPEN_QUESTION]
-        labels.extend([PunctClass.NONE] * (len(tokens) - 2))
-        labels.append(PunctClass.CLOSE_QUESTION)
+        labels = _pair_labels(Kind.QUESTION, len(tokens))
     return LabeledUtterance(tuple(tokens), tuple(labels), source=source, lang="es")
 
 
@@ -444,9 +427,7 @@ def _alien_sentence(rng: random.Random) -> LabeledUtterance:
     # it corrupts the starter cue.  Selection is supposed to filter it.
     tokens = [rng.choice(_ALIEN_WORDS) for _ in range(rng.randint(2, 5))]
     tokens.append(rng.choice(_ES_STARTERS))
-    labels = [PunctClass.OPEN_EXCLAMATION]
-    labels.extend([PunctClass.NONE] * (len(tokens) - 2))
-    labels.append(PunctClass.CLOSE_EXCLAMATION)
+    labels = _pair_labels(Kind.EXCLAMATION, len(tokens))
     return LabeledUtterance(tuple(tokens), tuple(labels), source="os-alien", lang="es")
 
 

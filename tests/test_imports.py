@@ -141,3 +141,56 @@ def test_every_name_the_benchmark_wraps_exists():
     assert ("espunct.pipeline", "run_strategy") in wanted
     missing = [f"{m}.{n}" for m, n in wanted if not hasattr(importlib.import_module(m), n)]
     assert missing == []
+
+
+def _bench_imports(source: str) -> list[tuple[str, str | None]]:
+    """(module, name) for every espunct import in a bench script, at top
+    level or inside a function; name is None for a plain `import`."""
+    wanted: list[tuple[str, str | None]] = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("espunct"):
+            wanted.extend((node.module, alias.name) for alias in node.names)
+        elif isinstance(node, ast.Import):
+            wanted.extend(
+                (alias.name, None) for alias in node.names if alias.name.startswith("espunct")
+            )
+    return wanted
+
+
+def test_the_bench_import_check_sees_nested_imports():
+    source = (
+        "import os\n"
+        "from espunct.corpus import PunctClass, render\n"
+        "def f():\n"
+        "    import espunct.cli as cli\n"
+        "    from espunct.pipeline import restore\n"
+    )
+    assert _bench_imports(source) == [
+        ("espunct.corpus", "PunctClass"),
+        ("espunct.corpus", "render"),
+        ("espunct.cli", None),
+        ("espunct.pipeline", "restore"),
+    ]
+
+
+def test_every_name_the_benchmark_imports_exists():
+    # The benchmark imports most of what it runs inside its workload
+    # functions, so a renamed name would otherwise fail only at run time.
+    wanted = {
+        item
+        for path in sorted((ROOT / "bench").glob("*.py"))
+        for item in _bench_imports(path.read_text(encoding="utf-8"))
+    }
+    assert "espunct.crosslingual" in {module for module, _ in wanted}
+    assert ("espunct.postprocess", "validate_pairing") in wanted
+    assert ("espunct.synthetic", "transfer_benchmark") in wanted
+    missing = []
+    for module, name in sorted(wanted, key=lambda item: (item[0], item[1] or "")):
+        try:
+            imported = importlib.import_module(module)
+        except ImportError:
+            missing.append(module)
+            continue
+        if name is not None and not hasattr(imported, name):
+            missing.append(f"{module}.{name}")
+    assert missing == []

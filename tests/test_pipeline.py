@@ -140,6 +140,7 @@ def test_config_parses_and_resolves(data_dir, tmp_path):
     assert cfg.lm_order == 3
     assert cfg.augmentation_seed == 1
     assert [r.name for r in cfg.rows] == ["es_only", "joint", "aug"]
+    assert pipeline.SPANISH_SOURCES == ("indomain", "ldc", "opensubtitle")
     assert cfg.rows[0].spanish_sources == ("indomain", "ldc", "opensubtitle")
     assert cfg.rows[2].spanish_sources == ("indomain", "ldc")
     assert cfg.rows[2].augment
@@ -205,7 +206,17 @@ def test_config_rejections(data_dir, tmp_path):
 
     obj = base_config(data_dir, out)
     obj["strategies"] = ["ES_ONLY", {"name": "es_only", "strategy": "JOINT"}]
-    _expect_config_error(obj, data_dir, "row names repeat: ['es_only', 'es_only']")
+    _expect_config_error(obj, data_dir, "row names repeat: ['es_only']")
+
+    obj = base_config(data_dir, out)
+    obj["strategies"] = [
+        "JOINT",
+        "ES_ONLY",
+        {"name": "es_only", "strategy": "JOINT"},
+        {"name": "joint", "strategy": "ES_ONLY"},
+        {"name": "es_only", "strategy": "ES_THEN_EN"},
+    ]
+    _expect_config_error(obj, data_dir, "row names repeat: ['es_only', 'joint']")
 
     obj = base_config(data_dir, out)
     obj["strategies"] = []

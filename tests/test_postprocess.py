@@ -1,5 +1,6 @@
 """Pairing validation and repair of predicted label sequences."""
 
+import itertools
 import random
 
 import pytest
@@ -100,6 +101,18 @@ def test_random_valid_sequences_pass_validation():
     for _ in range(2000):
         n = rng.randint(1, 12)
         assert validate_pairing(random_valid_labels(rng, n))
+
+
+def test_repair_outputs_and_fixed_points_match_the_plain_loop_validator():
+    # validate_pairing is defined as "repair changes nothing", so the
+    # pairing rule itself is checked here against the plain-loop oracle:
+    # repair fixes exactly the valid sequences, and its output is valid.
+    classes = list(PunctClass)
+    for n in range(1, 6):
+        for seq in map(list, itertools.product(classes, repeat=n)):
+            repaired = repair_pairing(seq)
+            assert reference_validate_pairing(seq) == (repaired == seq), seq
+            assert reference_validate_pairing(repaired), seq
 
 
 def test_terminal_count_helper_matches():
