@@ -7,6 +7,12 @@ line.  Files ending in .jsonl are corpus records; any other input file
 is read as plain text, one utterance per line.  Records are shaped by
 corpus.as_labeled and corpus.as_text, as in the pipeline.
 
+normalize, extract and convert, and select's pass over its pool, cut a
+large input after a newline into at most one chunk per CPU; this process
+works the first chunk while forked ones work the rest (see forked), and
+the output is written in file order.  Their output bytes and their
+failures are those of one process reading the whole file.
+
 Exit codes: 0 success, 2 bad arguments (out-of-range numbers included)
 or configuration, 3 data errors; each error type carries its code.
 """
@@ -16,6 +22,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import partial
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -27,13 +35,17 @@ from .corpus import (
     as_labeled,
     as_text,
     extract_labels,  # noqa: F401  unused here, but bench/ wraps it by this name
+    jsonl_line,
+    jsonl_records,
     normalize_punctuation,
-    read_jsonl,
+    read_jsonl,  # noqa: F401  unused here, but bench/ wraps it by this name
     write_jsonl,
+    write_lines_atomic,
 )
 from .crosslingual import anglicize_to_spanish_conventions
 from .errors import ConfigError, EmptyCorpus, IoFailure, MalformedRecord, PunctError
 from .evaluate import DEFAULT_REPAIR, evaluate, write_report_json
+from .forked import cpus, run_forked
 from .pipeline import (
     PunctServer,
     load_config,
@@ -64,52 +76,144 @@ def _seed_override(default: int | None = None) -> int | None:
         raise ConfigError(f"PUNCT_SEED must be an integer, got {raw!r}") from None
 
 
-def _text_lines(p: Path) -> list[tuple[int, str]]:
-    """The non-blank lines of a plain-text file with their 1-based numbers.
+# Smallest share of a corpus file, in bytes, worth a process of its own:
+# forking a worker and piping back its lines costs a few milliseconds,
+# about what extract does with 128 KiB.
+_MIN_CHUNK_BYTES = 1 << 17
+# The phase a chunk failed in.  One process fails in the earliest phase any
+# chunk fails in, since it reads the whole file before it shapes a record,
+# and shapes every record before it finishes any.
+_READ, _SHAPE, _FINISH = range(3)
+
+
+def _read_bytes(p: Path) -> bytes:
+    try:
+        return p.read_bytes()
+    except OSError as exc:
+        raise IoFailure(f"cannot read {p}: {exc}") from exc
+
+
+def _chunks(data: bytes) -> list[tuple[int, int]]:
+    """The (start, stop) offsets of data cut into at most one chunk per
+    CPU, and fewer when the chunks would hold under _MIN_CHUNK_BYTES.  The
+    i-th of n chunks starts at the first line start at or after i/n of data."""
+    n = max(1, min(cpus(), len(data) // _MIN_CHUNK_BYTES))
+    starts = [0]
+    for i in range(1, n):
+        cut = data.find(b"\n", max(len(data) * i // n - 1, starts[-1])) + 1
+        if 0 < cut < len(data):
+            starts.append(cut)
+    return list(zip(starts, starts[1:] + [len(data)]))
+
+
+def _text_lines(chunk: bytes, first_line: int, bom: bool) -> list[tuple[int, str]]:
+    """The non-blank lines of a chunk of a plain-text file with their
+    1-based numbers in the file, whose first line is first_line.
 
     Lines end at "\n" only, and one "\r" before it is dropped.  Other
     Unicode line breaks (U+2028, U+0085, U+001C-U+001E) stay inside the
     line as whitespace between tokens, so line numbers agree with the
-    count of "\n" that names a non-UTF-8 line.  A leading byte order mark
-    is dropped, after decoding, so that count still runs over the file's
-    own bytes.
+    count of "\n" that names a non-UTF-8 line.  With bom, a leading byte
+    order mark is dropped, after decoding, so that count still runs over
+    the file's own bytes.
     """
     try:
-        data = p.read_bytes()
-    except OSError as exc:
-        raise IoFailure(f"cannot read {p}: {exc}") from exc
-    try:
-        text = data.decode("utf-8")
+        text = chunk.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise MalformedRecord(data.count(b"\n", 0, exc.start) + 1, "not UTF-8 text") from None
-    text = text.removeprefix("\ufeff")
+        line = first_line + chunk.count(b"\n", 0, exc.start)
+        raise MalformedRecord(line, "not UTF-8 text") from None
+    if bom:
+        text = text.removeprefix("\ufeff")
     return [
         (n, line.removesuffix("\r"))
-        for n, line in enumerate(text.split("\n"), start=1)
+        for n, line in enumerate(text.split("\n"), start=first_line)
         if line.strip()
     ]
 
 
-def _read_corpus(path: str, shape: Callable[[list], list] = list) -> list:
-    """The records of the corpus at path through shape.  A file with no
-    records is EmptyCorpus; a MalformedRecord from shape names the file's line."""
-    p = Path(path)
-    numbered = None if p.suffix == ".jsonl" else _text_lines(p)
-    records = read_jsonl(p) if numbered is None else [RawUtterance(t) for _, t in numbered]
-    if not records:
-        raise EmptyCorpus(f"{p} holds no utterances")
+def _first_kind(data: bytes) -> type | None:
+    """The record type of a JSONL file's first line, or None when that line
+    is no record, whose error then comes first anyway."""
+    end = data.find(b"\n")
     try:
-        return shape(records)
+        return type(jsonl_records([data if end < 0 else data[:end]])[0])
+    except MalformedRecord:
+        return None
+
+
+def _chunk_outcome(data, text, kind, shape, finish, bounds) -> tuple:
+    """(records read, the phase that failed or None, its error or else
+    finish(shape(records))) for the records of data within bounds."""
+    start, stop = bounds
+    first_line = data.count(b"\n", 0, start) + 1
+    chunk = data[start:stop]
+    try:
+        if text:
+            numbered = _text_lines(chunk, first_line, start == 0)
+            lines = [n for n, _ in numbered]
+            records = [RawUtterance(t) for _, t in numbered]
+        else:
+            raws = chunk.split(b"\n")
+            if not raws[-1]:
+                raws.pop()
+            records = jsonl_records(raws, first_line, kind)
+            lines = range(first_line, first_line + len(records))
     except MalformedRecord as exc:
-        if numbered is None:
-            raise
+        return 0, _READ, exc
+    try:
+        shaped = shape(records)
+    except MalformedRecord as exc:
         # Blank lines are not records, so map the record's position back.
-        raise MalformedRecord(numbered[exc.line_number - 1][0], exc.reason) from None
+        return len(records), _SHAPE, MalformedRecord(lines[exc.line_number - 1], exc.reason)
+    try:
+        return len(records), None, finish(shaped)
+    except PunctError as exc:
+        return len(records), _FINISH, exc
+
+
+def _map_corpus(
+    path: str, shape: Callable[[list], list], finish: Callable[[list], object] | None = None
+) -> list:
+    """finish(shape(records)) for each chunk of the corpus at path, in file
+    order.  Chunks but the first are worked in forked processes.  Without
+    finish the file is one chunk, and its shaped records come back.
+
+    A failure is the one a single process reading the whole file would
+    raise: a file with no records is EmptyCorpus, and a MalformedRecord
+    from shape names the file's line.
+    """
+    p = Path(path)
+    data = _read_bytes(p)
+    text = p.suffix != ".jsonl"
+    bounds = _chunks(data) if finish else [(0, len(data))]
+    kind = None if text else _first_kind(data)
+    job = partial(_chunk_outcome, data, text, kind, shape, finish or (lambda shaped: shaped))
+    outcomes = run_forked(job, bounds, len(bounds), here=True)
+    failed = min(
+        ((phase, i) for i, (_, phase, _) in enumerate(outcomes) if phase is not None),
+        default=None,
+    )
+    if failed and failed[0] == _READ:
+        raise outcomes[failed[1]][2]
+    if not any(count for count, _, _ in outcomes):
+        raise EmptyCorpus(f"{p} holds no utterances")
+    if failed:
+        raise outcomes[failed[1]][2]
+    return [result for _, _, result in outcomes]
+
+
+def _read_corpus(path: str, shape: Callable[[list], list] = list) -> list:
+    """The records of the corpus at path through shape, read in this process."""
+    return _map_corpus(path, shape)[0]
 
 
 def _read_labeled(path: str) -> list[LabeledUtterance]:
     """The corpus at path through as_labeled; an error names the file's line."""
     return _read_corpus(path, as_labeled)
+
+
+def _jsonl_lines(records: list[Utterance]) -> list[str]:
+    return list(map(jsonl_line, records))
 
 
 def _normalized(records: list[Utterance]) -> list[RawUtterance]:
@@ -141,28 +245,36 @@ def _at_least(low: int, high: int | None = None):
     return integer
 
 
+def _write_chunks(path: str, chunks: list[list[str]]) -> None:
+    write_lines_atomic(path, chain.from_iterable(chunks))
+
+
 def _cmd_normalize(args) -> int:
-    write_jsonl(_read_corpus(args.infile, _normalized), args.out)
+    _write_chunks(args.out, _map_corpus(args.infile, _normalized, _jsonl_lines))
     return 0
 
 
 def _cmd_extract(args) -> int:
-    write_jsonl(_read_labeled(args.infile), args.out)
+    _write_chunks(args.out, _map_corpus(args.infile, as_labeled, _jsonl_lines))
     return 0
 
 
 def _cmd_select(args) -> int:
-    model_corpus = as_text(_read_corpus(args.model_corpus))
-    pool = _read_corpus(args.pool)
-    model = train_ngram(model_corpus, order=args.order)
-    scores = score_pool(model, as_text(pool))
-    # Scores are parallel to pool, so the kept records keep the input's
+    model = train_ngram(as_text(_read_corpus(args.model_corpus)), order=args.order)
+
+    def lines_and_scores(pool: list[Utterance]) -> tuple[list[str], list[float]]:
+        return _jsonl_lines(pool), score_pool(model, as_text(pool))
+
+    chunks = _map_corpus(args.pool, list, lines_and_scores)
+    lines = [line for chunk, _ in chunks for line in chunk]
+    scores = [score for _, chunk in chunks for score in chunk]
+    # Lines are parallel to scores, so the kept records keep the input's
     # shape: raw stays raw, labeled stays labeled.  Selecting before any
     # write means a failed select leaves no artifact behind.
-    kept = select_lowest_perplexity(model, pool, args.k, scores=scores)
+    kept = select_lowest_perplexity(model, lines, args.k, scores=scores)
     if args.report:
         write_selection_report(scores, args.report)
-    write_jsonl(kept, args.out)
+    write_lines_atomic(args.out, kept)
     return 0
 
 
@@ -181,9 +293,12 @@ def _cmd_augment(args) -> int:
     return 0
 
 
+def _converted_lines(records: list[LabeledUtterance]) -> list[str]:
+    return _jsonl_lines([anglicize_to_spanish_conventions(u) for u in records])
+
+
 def _cmd_convert(args) -> int:
-    converted = [anglicize_to_spanish_conventions(u) for u in _read_labeled(args.infile)]
-    write_jsonl(converted, args.out)
+    _write_chunks(args.out, _map_corpus(args.infile, as_labeled, _converted_lines))
     return 0
 
 

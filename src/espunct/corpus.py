@@ -121,6 +121,10 @@ _MARKS = {
     PunctClass.FULL_EXCLAMATION: ("\u00a1", "!"),
 }
 _LABEL_FOR_MARKS = {marks: label for label, marks in _MARKS.items()}
+# Each trailing mark's label on a token with no leading mark.
+_CLOSE_ONLY = {
+    trail: label for (lead, trail), label in _LABEL_FOR_MARKS.items() if trail and not lead
+}
 
 SUPPORTED_MARKS = "\u00bf?\u00a1!,."
 _LEADING_CHARS = "\u00bf\u00a1"
@@ -299,12 +303,20 @@ def extract_labels(
     labels: list[PunctClass] = []
     none = PunctClass.NONE
     for word in words:
-        if word[0] not in _BOUNDARY_REJECTS and word[-1] not in _BOUNDARY_REJECTS:
-            # No mark to strip and nothing to refuse: _split_marks and the
-            # checks below would keep the word whole as a NONE token.
-            tokens.append(word)
-            labels.append(none)
-            continue
+        if word[0] not in _BOUNDARY_REJECTS:
+            if word[-1] not in _BOUNDARY_REJECTS:
+                # No mark to strip and nothing to refuse: _split_marks and
+                # the checks below would keep the word whole as a NONE token.
+                tokens.append(word)
+                labels.append(none)
+                continue
+            label = _CLOSE_ONLY.get(word[-1])
+            if label is not None and word[-2] not in _BOUNDARY_REJECTS:
+                # One trailing mark on a word with clean edges under it: the
+                # checks below would pass, and the mark alone names the label.
+                tokens.append(word[:-1])
+                labels.append(label)
+                continue
         lead, core, trail = _split_marks(word)
         if not core:
             raise UnsupportedPunctuation(
@@ -385,7 +397,7 @@ def as_text(records: Sequence[Utterance]) -> list[RawUtterance]:
 # --- JSONL IO --------------------------------------------------------------
 
 # The quoter JSONEncoder(ensure_ascii=False) itself uses for a string, and
-# each label as its quoted name: write_jsonl builds a line from these alone.
+# each label as its quoted name: jsonl_line builds a line from these alone.
 _quote = json.encoder.encode_basestring
 _QUOTED_LABEL = {label: _quote(label.name) for label in PunctClass}
 # One decoder for every line: json.loads adds two wrapper calls and two
@@ -393,7 +405,7 @@ _QUOTED_LABEL = {label: _quote(label.name) for label in PunctClass}
 _raw_decode = json.JSONDecoder().raw_decode
 
 
-def _jsonl_line(rec: Utterance) -> str:
+def jsonl_line(rec: Utterance) -> str:
     """rec as one compact JSON object, keys in fixed order, and a newline."""
     if isinstance(rec, RawUtterance):
         line = '{"text":' + _quote(rec.text)
@@ -454,41 +466,52 @@ def _encodable(rec: Utterance) -> bool:
 
 
 def read_jsonl(path: str | Path) -> list[Utterance]:
-    """Read a corpus file, one JSON record per line.
-
-    Raw records carry "text"; labeled records carry "tokens" and
-    "labels".  A file may hold either shape but not a mixture.  Lines are
-    decoded one at a time so a non-UTF-8 byte names its line, and so does
-    a \\u escape that leaves a lone surrogate in a record's strings.
-    """
-    records: list[Utterance] = []
+    """Read a corpus file, one JSON record per line (see jsonl_records)."""
     try:
         with open(path, "rb") as fh:
-            for line_number, raw in enumerate(fh, start=1):
-                try:
-                    stripped = raw.decode("utf-8").strip()
-                except UnicodeDecodeError:
-                    raise MalformedRecord(line_number, "not UTF-8 text") from None
-                if not stripped:
-                    raise MalformedRecord(line_number, "blank line")
-                try:
-                    obj, end = _raw_decode(stripped)
-                    if end != len(stripped):
-                        raise ValueError
-                except (ValueError, RecursionError):
-                    # json.loads names what is wrong, a BOM and extra data too.
-                    try:
-                        obj = json.loads(stripped)
-                    except (ValueError, RecursionError) as exc:
-                        raise MalformedRecord(line_number, f"bad JSON: {exc}") from exc
-                record = _record_from_dict(obj, line_number)
-                if b"\\u" in raw and not _encodable(record):
-                    raise MalformedRecord(line_number, "record holds a lone surrogate")
-                if records and type(record) is not type(records[0]):
-                    raise MalformedRecord(line_number, "file mixes raw and labeled records")
-                records.append(record)
+            return jsonl_records(fh)
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
+
+
+def jsonl_records(
+    lines: Iterable[bytes], first_line: int = 1, kind: type | None = None
+) -> list[Utterance]:
+    """The records of a run of JSONL lines, the first numbered first_line.
+
+    Raw records carry "text"; labeled records carry "tokens" and
+    "labels".  A file may hold either shape but not a mixture: every
+    record must be of kind, or when kind is None of the first record's
+    type.  Lines are decoded one at a time so a non-UTF-8 byte names its
+    line, and so does a \\u escape that leaves a lone surrogate in a
+    record's strings.
+    """
+    records: list[Utterance] = []
+    for line_number, raw in enumerate(lines, start=first_line):
+        try:
+            stripped = raw.decode("utf-8").strip()
+        except UnicodeDecodeError:
+            raise MalformedRecord(line_number, "not UTF-8 text") from None
+        if not stripped:
+            raise MalformedRecord(line_number, "blank line")
+        try:
+            obj, end = _raw_decode(stripped)
+            if end != len(stripped):
+                raise ValueError
+        except (ValueError, RecursionError):
+            # json.loads names what is wrong, a BOM and extra data too.
+            try:
+                obj = json.loads(stripped)
+            except (ValueError, RecursionError) as exc:
+                raise MalformedRecord(line_number, f"bad JSON: {exc}") from exc
+        record = _record_from_dict(obj, line_number)
+        if b"\\u" in raw and not _encodable(record):
+            raise MalformedRecord(line_number, "record holds a lone surrogate")
+        if kind is None:
+            kind = type(record)
+        elif type(record) is not kind:
+            raise MalformedRecord(line_number, "file mixes raw and labeled records")
+        records.append(record)
     return records
 
 
@@ -498,7 +521,7 @@ def write_jsonl(records: Iterable[Utterance], path: str | Path) -> None:
     Byte-identical for identical input, and atomic (see
     write_lines_atomic).  A source or lang that is neither None nor a str
     raises TypeError and leaves path as it was."""
-    write_lines_atomic(path, map(_jsonl_line, records))
+    write_lines_atomic(path, map(jsonl_line, records))
 
 
 def write_lines_atomic(path: str | Path, lines: Iterable[str]) -> None:

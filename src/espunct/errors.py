@@ -110,3 +110,8 @@ class PipelineError(PunctError):
 
 class DataLeakageError(PunctError):
     """A test utterance was found in an assembled training corpus."""
+
+
+class WorkerLost(PunctError):
+    """A forked worker process could not start, or ended without handing
+    back its result, say because it was killed."""

@@ -4,7 +4,8 @@ One JSON config drives the whole experiment grid: a shared seeded split,
 perplexity selection over the subtitle pool, histogram augmentation,
 English conversion, then one trained model and one evaluation report per
 configured row, plus a comparison table.  Rows that share no training
-phase train and evaluate in parallel, in forked worker processes.  Every
+phase train and evaluate in parallel, in worker processes forked by
+forked.run_forked, the helper the CLI's chunked commands use too.  Every
 intermediate corpus is written to disk; rerunning the same config
 reproduces every byte.
 The CLI shares its record shaping (corpus.as_labeled, as_text) and parse_strategy.
@@ -16,9 +17,7 @@ byte-level loop, serve_lines, over stdin/stdout or each TCP connection.
 from __future__ import annotations
 
 import json
-import os
 import socketserver
-import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -55,6 +54,7 @@ from .errors import (
     PunctError,
 )
 from .evaluate import DEFAULT_REPAIR, EvalReport, evaluate, split_corpus, write_report_json
+from .forked import cpus, run_forked
 from .postprocess import repair_pairing
 from .selection import (
     DEFAULT_ORDER,
@@ -483,57 +483,28 @@ def _run_groups(
 ) -> list[EvalReport]:
     """Every row's report, in row order.  Each group of row indices trains in
     a forked worker process, at most one per CPU, which inherits the rows'
-    corpora rather than unpickling them.  A group is submitted only when a
-    worker is free, so once one group fails no waiting group starts."""
-    # Imported here: at module top they would slow every `import espunct.cli`.
-    import multiprocessing
-    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-
-    workers = min(os.cpu_count() or 1, len(groups))
+    corpora rather than unpickling them.  A group starts only when a worker
+    is free, so once one group fails no waiting group starts."""
+    global _worker_args
+    _worker_args = (config, data, es_test, out_dir)
+    try:
+        done = run_forked(_run_group, groups, min(cpus(), len(groups)))
+    finally:
+        _worker_args = ()
     reports: list = [None] * len(config.rows)
-    waiting = iter(groups[workers:])
-    with ProcessPoolExecutor(
-        max_workers=workers,
-        mp_context=multiprocessing.get_context("fork"),
-        initializer=_init_worker,
-        initargs=(os.getpid(), config, data, es_test, out_dir),
-    ) as pool:
-        running = {pool.submit(_run_group, group): group for group in groups[:workers]}
-        while running:
-            done, _ = wait(running, return_when=FIRST_COMPLETED)
-            for future in done:
-                for i, report in zip(running.pop(future), future.result()):
-                    reports[i] = report
-                group = next(waiting, None)
-                if group is not None:
-                    running[pool.submit(_run_group, group)] = group
+    for group, group_reports in zip(groups, done):
+        for i, report in zip(group, group_reports):
+            reports[i] = report
     return reports
 
 
-# A pool worker's (config, data, es_test, out_dir), set once at its start.
+# The (config, data, es_test, out_dir) of the grid being trained, which
+# forked workers inherit.
 _worker_args: tuple = ()
-# How often a pool worker checks that the process that forked it lives.
-_PARENT_POLL_S = 0.25
-
-
-def _init_worker(parent: int, *args) -> None:
-    """Keep the job's arguments, and start a watcher thread that ends this
-    worker once parent is gone: a killed parent cannot shut the pool down,
-    and a worker left behind would go on writing into out_dir."""
-    global _worker_args
-    _worker_args = args
-    threading.Thread(target=_exit_when_orphaned, args=(parent,), daemon=True).start()
-
-
-def _exit_when_orphaned(parent: int) -> None:
-    # An orphan is adopted by another process, so its parent pid changes.
-    while os.getppid() == parent:
-        time.sleep(_PARENT_POLL_S)
-    os._exit(1)
 
 
 def _run_group(group: list[int]) -> list[EvalReport]:
-    """Pool job: train, save and evaluate the rows at the group's indices,
+    """Worker job: train, save and evaluate the rows at the group's indices,
     in row order; returns their reports."""
     config, data, es_test, out_dir = _worker_args
     phase = _SharedPhase()

@@ -8,11 +8,13 @@ language-model tokenizer), and a fraction-exact reference implementation
 of the interpolated Witten-Bell model for cross-checking the float code
 path.  The Witten-Bell reference takes pre-tokenized lowercase text
 (plain words separated by spaces) so its tokenization is a bare split.
+child_process_left tells whether a test left a forked worker behind.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Sequence
@@ -223,6 +225,18 @@ BAD_MODEL_CHANGES = {
     "lone-surrogate-feature": {"weights": {"w0=\ud800": {"NONE": 1.0}}},
     "lone-surrogate-in-training-log": {"training_log": [{"data": "es\udcff"}]},
 }
+
+
+def child_process_left() -> str | None:
+    """None when this process has no child, running or unreaped; otherwise
+    what is left.  An unreaped child is reaped by the check."""
+    try:
+        pid, status = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return None
+    if pid == 0:
+        return "a child process is still running"
+    return f"child process {pid} was left unreaped (wait status {status})"
 
 
 def count_trains(monkeypatch, log: Path) -> Callable[[], list[str]]:

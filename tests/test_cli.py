@@ -2,7 +2,6 @@
 
 import io
 import json
-import multiprocessing
 import os
 import socket
 import subprocess
@@ -18,7 +17,7 @@ from espunct.selection import MAX_ORDER
 from espunct.synthetic import rule_corpus
 from espunct.tagger import TaggerModel
 
-from helpers import BAD_MODEL_CHANGES, labels, lu
+from helpers import BAD_MODEL_CHANGES, child_process_left, labels, lu
 
 
 @pytest.fixture()
@@ -364,7 +363,7 @@ def test_experiment_failure_in_a_worker_exits_3(tmp_path, capsys):
     assert main(["experiment", "--config", str(config)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: stage 'train:joint': ") and err.count("\n") == 1, err
-    assert multiprocessing.active_children() == []
+    assert child_process_left() is None
 
 
 def test_serve_rejects_unusable_model(tmp_path):

@@ -8,8 +8,9 @@ these tests hold it to per-record json.dumps.  Normalization returns text that n
 touch as it is, and runs each rewrite only on text holding a character
 that rewrite needs; these tests hold it to the full regex chain.
 Extraction keeps a word with no mark at either edge whole, as a NONE
-token; a case list holds it to the loop that splits and checks every
-word.
+token, and takes one trailing mark off a word whose edges under it are
+clean; a case list and drawn text hold it to the loop that splits and
+checks every word.
 """
 
 import json
@@ -28,7 +29,7 @@ from espunct.corpus import (
     read_jsonl,
     write_jsonl,
 )
-from espunct.errors import MalformedRecord
+from espunct.errors import ConflictingMarks, MalformedRecord, UnsupportedPunctuation
 
 from helpers import full_normalization_chain, reference_extract_labels
 
@@ -199,3 +200,29 @@ def test_extract_matches_per_word_loop():
         if _outcome(extract_labels, text) != _outcome(reference_extract_labels, text)
     ]
     assert len(cases) > 400 and mismatched == []
+
+
+# Words of letters and every mark extraction treats specially, so each of
+# its fast paths and each refusal is drawn.
+_extract_word = st.lists(
+    st.sampled_from(["a", "\u00f1", "1"] + _EDGE_MARKS), min_size=1, max_size=4
+).map("".join)
+
+
+@SETTINGS
+@given(st.lists(_extract_word, min_size=1, max_size=4).map(" ".join))
+def test_extract_matches_per_word_loop_on_drawn_text(text):
+    assert _outcome(extract_labels, text) == _outcome(reference_extract_labels, text)
+
+
+@pytest.mark.parametrize(
+    "text, outcome",
+    [
+        ("tal?!", ("raised", (ConflictingMarks, "token 'tal?!' stacks trailing marks"))),
+        ("?", ("raised", (UnsupportedPunctuation, "token '?' has no word to attach punctuation to"))),
+        ("\u00bfqu\u00e9?", ("ok", LabeledUtterance(("qu\u00e9",), (PunctClass.FULL_QUESTION,)))),
+        ("vale, tal.", ("ok", LabeledUtterance(("vale", "tal"), (PunctClass.COMMA, PunctClass.PERIOD)))),
+    ],
+)
+def test_extract_on_words_near_the_trailing_mark_fast_path(text, outcome):
+    assert _outcome(extract_labels, text) == _outcome(reference_extract_labels, text) == outcome

@@ -1,5 +1,6 @@
 """Every toolkit error survives pickling with its type, message and
-attributes, as it must to cross from a grid worker to the parent."""
+attributes, as it must to cross from a forked worker, a grid group's or
+a corpus chunk's, to the parent."""
 
 import inspect
 import pickle

@@ -2,7 +2,6 @@
 
 import io
 import json
-import multiprocessing
 import os
 import re
 import signal
@@ -55,7 +54,7 @@ from espunct.synthetic import rule_corpus, transfer_benchmark
 from espunct import pipeline, tagger
 from espunct.tagger import Strategy, TrainConfig, continue_train, run_strategy, train
 
-from helpers import count_trains, labels, lu
+from helpers import child_process_left, count_trains, labels, lu
 
 
 def _unique(corpus, n):
@@ -655,7 +654,7 @@ def test_run_experiment_frees_phases_no_later_row_uses(data_dir, tmp_path, monke
     # es serves es_only and es_then_en in its group, and no fresh model outlives its group
     trained = [json.loads(line) for line in log.read_text(encoding="utf-8").splitlines()]
     assert trained == [["es", []], ["joint-es-en", []], ["en", []]]
-    assert multiprocessing.active_children() == []
+    assert child_process_left() is None
 
 
 def test_run_experiment_failure_in_a_worker_starts_no_waiting_group(
@@ -677,7 +676,7 @@ def test_run_experiment_failure_in_a_worker_starts_no_waiting_group(
         run_experiment(config_from_dict(obj, data_dir))
     assert err.value.stage == "train:joint"
     assert isinstance(err.value.cause, IoFailure)
-    assert multiprocessing.active_children() == []
+    assert child_process_left() is None
     assert calls() == ["es", "joint-es-en"]
     assert (out / "report_es_only.json").is_file()
     assert not (out / "model_en_then_es.json").exists()
