@@ -10,8 +10,10 @@ corpus.as_labeled and corpus.as_text, as in the pipeline.
 normalize, extract and convert, and select's pass over its pool, cut a
 large input after a newline into at most one chunk per CPU; this process
 works the first chunk while forked ones work the rest (see forked), and
-the output is written in file order.  Their output bytes and their
-failures are those of one process reading the whole file.
+the output is written in file order.  Their output bytes are those of
+one process reading the whole file, since they work record by record;
+when a chunk fails, this process works the whole file once more and
+fails as that one process does.
 
 Exit codes: 0 success, 2 bad arguments (out-of-range numbers included)
 or configuration, 3 data errors; each error type carries its code.
@@ -43,7 +45,7 @@ from .corpus import (
     write_lines_atomic,
 )
 from .crosslingual import anglicize_to_spanish_conventions
-from .errors import ConfigError, EmptyCorpus, IoFailure, MalformedRecord, PunctError
+from .errors import ConfigError, EmptyCorpus, IoFailure, MalformedRecord, PunctError, WorkerLost
 from .evaluate import DEFAULT_REPAIR, evaluate, write_report_json
 from .forked import cpus, run_forked
 from .pipeline import (
@@ -80,10 +82,6 @@ def _seed_override(default: int | None = None) -> int | None:
 # forking a worker and piping back its lines costs a few milliseconds,
 # about what extract does with 128 KiB.
 _MIN_CHUNK_BYTES = 1 << 17
-# The phase a chunk failed in.  One process fails in the earliest phase any
-# chunk fails in, since it reads the whole file before it shapes a record,
-# and shapes every record before it finishes any.
-_READ, _SHAPE, _FINISH = range(3)
 
 
 def _read_bytes(p: Path) -> bytes:
@@ -106,9 +104,8 @@ def _chunks(data: bytes) -> list[tuple[int, int]]:
     return list(zip(starts, starts[1:] + [len(data)]))
 
 
-def _text_lines(chunk: bytes, first_line: int, bom: bool) -> list[tuple[int, str]]:
-    """The non-blank lines of a chunk of a plain-text file with their
-    1-based numbers in the file, whose first line is first_line.
+def _text_lines(data: bytes, bom: bool) -> list[tuple[int, str]]:
+    """The non-blank lines of a plain-text file with their 1-based numbers.
 
     Lines end at "\n" only, and one "\r" before it is dropped.  Other
     Unicode line breaks (U+2028, U+0085, U+001C-U+001E) stay inside the
@@ -118,93 +115,82 @@ def _text_lines(chunk: bytes, first_line: int, bom: bool) -> list[tuple[int, str
     the file's own bytes.
     """
     try:
-        text = chunk.decode("utf-8")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = first_line + chunk.count(b"\n", 0, exc.start)
-        raise MalformedRecord(line, "not UTF-8 text") from None
+        raise MalformedRecord(data.count(b"\n", 0, exc.start) + 1, "not UTF-8 text") from None
     if bom:
         text = text.removeprefix("\ufeff")
     return [
         (n, line.removesuffix("\r"))
-        for n, line in enumerate(text.split("\n"), start=first_line)
+        for n, line in enumerate(text.split("\n"), start=1)
         if line.strip()
     ]
 
 
-def _first_kind(data: bytes) -> type | None:
-    """The record type of a JSONL file's first line, or None when that line
-    is no record, whose error then comes first anyway."""
-    end = data.find(b"\n")
-    try:
-        return type(jsonl_records([data if end < 0 else data[:end]])[0])
-    except MalformedRecord:
-        return None
-
-
-def _chunk_outcome(data, text, kind, shape, finish, bounds) -> tuple:
-    """(records read, the phase that failed or None, its error or else
-    finish(shape(records))) for the records of data within bounds."""
+def _work_records(
+    p: Path,
+    data: bytes,
+    shape: Callable[[list], list],
+    finish: Callable[[list], object],
+    bounds: tuple[int, int],
+) -> tuple[type, object]:
+    """(the record type, finish(shape(records))) for the records of the
+    corpus file p whose bytes are data, within bounds, worked as one
+    process works the whole file: it reads every record, a file with no
+    records is EmptyCorpus, and a MalformedRecord from shape names the
+    line of its record.  Lines are numbered from the start of bounds."""
     start, stop = bounds
-    first_line = data.count(b"\n", 0, start) + 1
-    chunk = data[start:stop]
-    try:
-        if text:
-            numbered = _text_lines(chunk, first_line, start == 0)
-            lines = [n for n, _ in numbered]
-            records = [RawUtterance(t) for _, t in numbered]
-        else:
-            raws = chunk.split(b"\n")
-            if not raws[-1]:
-                raws.pop()
-            records = jsonl_records(raws, first_line, kind)
-            lines = range(first_line, first_line + len(records))
-    except MalformedRecord as exc:
-        return 0, _READ, exc
+    if p.suffix == ".jsonl":
+        raws = data[start:stop].split(b"\n")
+        if not raws[-1]:
+            raws.pop()
+        records = jsonl_records(raws)
+        lines = range(1, len(records) + 1)
+    else:
+        numbered = _text_lines(data[start:stop], start == 0)
+        lines = [n for n, _ in numbered]
+        records = [RawUtterance(t) for _, t in numbered]
+    if not records:
+        raise EmptyCorpus(f"{p} holds no utterances")
     try:
         shaped = shape(records)
     except MalformedRecord as exc:
         # Blank lines are not records, so map the record's position back.
-        return len(records), _SHAPE, MalformedRecord(lines[exc.line_number - 1], exc.reason)
-    try:
-        return len(records), None, finish(shaped)
-    except PunctError as exc:
-        return len(records), _FINISH, exc
+        raise MalformedRecord(lines[exc.line_number - 1], exc.reason) from None
+    return type(records[0]), finish(shaped)
 
 
 def _map_corpus(
-    path: str, shape: Callable[[list], list], finish: Callable[[list], object] | None = None
+    path: str, shape: Callable[[list], list], finish: Callable[[list], object]
 ) -> list:
     """finish(shape(records)) for each chunk of the corpus at path, in file
-    order.  Chunks but the first are worked in forked processes.  Without
-    finish the file is one chunk, and its shaped records come back.
+    order.  Chunks but the first are worked in forked processes.
 
-    A failure is the one a single process reading the whole file would
-    raise: a file with no records is EmptyCorpus, and a MalformedRecord
-    from shape names the file's line.
+    When a chunk fails, or the chunks hold records of different types,
+    this process works the whole file once more and that run's failure is
+    raised, so every failure is one process's; a lost worker fails the
+    command as it is.
     """
     p = Path(path)
     data = _read_bytes(p)
-    text = p.suffix != ".jsonl"
-    bounds = _chunks(data) if finish else [(0, len(data))]
-    kind = None if text else _first_kind(data)
-    job = partial(_chunk_outcome, data, text, kind, shape, finish or (lambda shaped: shaped))
-    outcomes = run_forked(job, bounds, len(bounds), here=True)
-    failed = min(
-        ((phase, i) for i, (_, phase, _) in enumerate(outcomes) if phase is not None),
-        default=None,
-    )
-    if failed and failed[0] == _READ:
-        raise outcomes[failed[1]][2]
-    if not any(count for count, _, _ in outcomes):
-        raise EmptyCorpus(f"{p} holds no utterances")
-    if failed:
-        raise outcomes[failed[1]][2]
-    return [result for _, _, result in outcomes]
+    job = partial(_work_records, p, data, shape, finish)
+    bounds = _chunks(data)
+    try:
+        outcomes = run_forked(job, bounds, len(bounds), here=True)
+    except WorkerLost:
+        raise
+    except PunctError:
+        outcomes = []
+    if len({kind for kind, _ in outcomes}) != 1:
+        outcomes = [job((0, len(data)))]
+    return [result for _, result in outcomes]
 
 
 def _read_corpus(path: str, shape: Callable[[list], list] = list) -> list:
     """The records of the corpus at path through shape, read in this process."""
-    return _map_corpus(path, shape)[0]
+    p = Path(path)
+    data = _read_bytes(p)
+    return _work_records(p, data, shape, lambda shaped: shaped, (0, len(data)))[1]
 
 
 def _read_labeled(path: str) -> list[LabeledUtterance]:
@@ -270,11 +256,12 @@ def _cmd_select(args) -> int:
     scores = [score for _, chunk in chunks for score in chunk]
     # Lines are parallel to scores, so the kept records keep the input's
     # shape: raw stays raw, labeled stays labeled.  Selecting before any
-    # write means a failed select leaves no artifact behind.
+    # write, and writing the report only after --out, means a failed
+    # select leaves no artifact behind.
     kept = select_lowest_perplexity(model, lines, args.k, scores=scores)
+    write_lines_atomic(args.out, kept)
     if args.report:
         write_selection_report(scores, args.report)
-    write_lines_atomic(args.out, kept)
     return 0
 
 

@@ -474,20 +474,16 @@ def read_jsonl(path: str | Path) -> list[Utterance]:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
 
 
-def jsonl_records(
-    lines: Iterable[bytes], first_line: int = 1, kind: type | None = None
-) -> list[Utterance]:
-    """The records of a run of JSONL lines, the first numbered first_line.
+def jsonl_records(lines: Iterable[bytes]) -> list[Utterance]:
+    """The records of a run of JSONL lines, numbered from 1.
 
     Raw records carry "text"; labeled records carry "tokens" and
-    "labels".  A file may hold either shape but not a mixture: every
-    record must be of kind, or when kind is None of the first record's
-    type.  Lines are decoded one at a time so a non-UTF-8 byte names its
-    line, and so does a \\u escape that leaves a lone surrogate in a
-    record's strings.
+    "labels".  A run may hold either shape but not a mixture.  Lines are
+    decoded one at a time so a non-UTF-8 byte names its line, and so does
+    a \\u escape that leaves a lone surrogate in a record's strings.
     """
     records: list[Utterance] = []
-    for line_number, raw in enumerate(lines, start=first_line):
+    for line_number, raw in enumerate(lines, start=1):
         try:
             stripped = raw.decode("utf-8").strip()
         except UnicodeDecodeError:
@@ -507,9 +503,7 @@ def jsonl_records(
         record = _record_from_dict(obj, line_number)
         if b"\\u" in raw and not _encodable(record):
             raise MalformedRecord(line_number, "record holds a lone surrogate")
-        if kind is None:
-            kind = type(record)
-        elif type(record) is not kind:
+        if records and type(record) is not type(records[0]):
             raise MalformedRecord(line_number, "file mixes raw and labeled records")
         records.append(record)
     return records

@@ -52,7 +52,7 @@ def run_forked(
     WorkerLost when its child could not start or ended without a result.  Where there is no
     fork, every job runs here, in order.
     """
-    if not hasattr(os, "fork") or (here and len(jobs) == 1):
+    if not hasattr(os, "fork"):
         return [work(job) for job in jobs]
     # Imported here: at module top it would slow every `import espunct.cli`.
     import pickle

@@ -485,12 +485,11 @@ def _run_groups(
     a forked worker process, at most one per CPU, which inherits the rows'
     corpora rather than unpickling them.  A group starts only when a worker
     is free, so once one group fails no waiting group starts."""
-    global _worker_args
-    _worker_args = (config, data, es_test, out_dir)
-    try:
-        done = run_forked(_run_group, groups, min(cpus(), len(groups)))
-    finally:
-        _worker_args = ()
+    done = run_forked(
+        lambda group: _run_group(group, config, data, es_test, out_dir),
+        groups,
+        min(cpus(), len(groups)),
+    )
     reports: list = [None] * len(config.rows)
     for group, group_reports in zip(groups, done):
         for i, report in zip(group, group_reports):
@@ -498,15 +497,15 @@ def _run_groups(
     return reports
 
 
-# The (config, data, es_test, out_dir) of the grid being trained, which
-# forked workers inherit.
-_worker_args: tuple = ()
-
-
-def _run_group(group: list[int]) -> list[EvalReport]:
+def _run_group(
+    group: list[int],
+    config: ExperimentConfig,
+    data: Sequence[tuple],
+    es_test: Sequence[LabeledUtterance],
+    out_dir: Path,
+) -> list[EvalReport]:
     """Worker job: train, save and evaluate the rows at the group's indices,
     in row order; returns their reports."""
-    config, data, es_test, out_dir = _worker_args
     phase = _SharedPhase()
     reports = []
     for i in group:

@@ -193,7 +193,7 @@ def select_lowest_perplexity(
         raise KTooLarge(f"k={k} but the pool holds {len(pool)} utterances")
     if scores is None:
         scores = score_pool(model, pool)
-    ranked = sorted(range(len(pool)), key=lambda i: (scores[i], i))[:k]
+    ranked = sorted(range(len(pool)), key=scores.__getitem__)[:k]
     return [pool[i] for i in sorted(ranked)]
 
 

@@ -136,6 +136,16 @@ def test_failed_select_writes_nothing(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
     assert not report.exists()
     assert not out.exists()
+    # An --out that cannot be written fails after the selection, and the
+    # report is not written either.
+    out.mkdir()
+    code = main([
+        "select", "--model-corpus", str(model_corpus), "--pool", str(pool),
+        "--k", "1", "--out", str(out), "--report", str(report),
+    ])
+    assert code == 3
+    assert "Is a directory" in capsys.readouterr().err
+    assert not report.exists()
 
 
 def test_failed_augment_writes_nothing(tmp_path, capsys):

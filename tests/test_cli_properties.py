@@ -8,7 +8,8 @@ failure of one process; hand-picked files pin the cases where
 chunks could disagree with it: the earliest failure sitting in a later
 chunk, a chunk starting on the raw/labeled switch, a fault on the last
 line, line numbering across blank lines, a BOM and \\r\\n, empty files,
-and a platform without fork.
+and a platform without fork.  A clean chunked run works no record
+twice; a failing one works its whole file once more, in this process.
 """
 
 import contextlib
@@ -230,3 +231,27 @@ def test_without_fork_a_file_is_one_chunk(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     assert cli._chunks(path.read_bytes()) == [(0, path.stat().st_size)]
     assert _outcome("extract", path, 3) == one
+
+
+def test_a_chunked_run_works_its_file_again_only_on_failure(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_MIN_CHUNK_BYTES", 1)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    real = cli._work_records
+    worked = []  # forked workers append to their own copies
+
+    def spy(p, data, shape, finish, bounds):
+        worked.append(bounds)
+        return real(p, data, shape, finish, bounds)
+
+    monkeypatch.setattr(cli, "_work_records", spy)
+    path, out = tmp_path / "in.txt", tmp_path / "out.jsonl"
+    # A clean file: this process works its first chunk alone.  A file
+    # whose last line fails: its first chunk, then the whole file once.
+    for content, code in (("hola.\nvale.\nbien.\n", 0), ("hola.\nvale.\n\u00ab\u00bb\n", 3)):
+        _write(path, content)
+        data = path.read_bytes()
+        chunks = cli._chunks(data)
+        assert len(chunks) == 3
+        worked.clear()
+        assert main(["extract", "--in", str(path), "--out", str(out)]) == code
+        assert worked == [chunks[0]] + ([(0, len(data))] if code else [])

@@ -125,7 +125,7 @@ def test_a_lost_chunk_worker_fails_the_command(how, tmp_path, monkeypatch, capsy
 
 @pytest.mark.parametrize("how", sorted(_HOW))
 def test_a_lost_grid_worker_fails_the_experiment(how, tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(pipeline, "_run_group", lambda group: _die(how))
+    monkeypatch.setattr(pipeline, "_run_group", lambda *args: _die(how))
     write_jsonl(rule_corpus(40, seed=22), tmp_path / "es.jsonl")
     en = [RawUtterance(f"ok, can you check item n{i}?", lang="en") for i in range(10)]
     write_jsonl(en, tmp_path / "en.jsonl")

@@ -6,7 +6,9 @@ somewhere in its module, be listed in `__all__`, or sit on a line
 marked `# noqa: F401`.  Since `__all__` counts as a use, each of its
 names must also be an attribute of the package.  A module-level name
 with one leading underscore must be read somewhere in the package, as a
-name or as an attribute, so no helper outlives its last caller.
+name or as an attribute, so no helper outlives its last caller.  Only
+forked.py uses os.fork, and no module imports multiprocessing or
+concurrent.futures.
 """
 
 import ast
@@ -99,6 +101,66 @@ def test_the_check_sees_an_unread_private_name():
     }
     assert _unread_private_names(sources) == [
         "a.py: _unused", "a.py: _helper", "b.py: _Thing"
+    ]
+
+
+# Forking lives in forked.run_forked alone; no module starts processes
+# another way.
+_OTHER_MECHANISMS = ("multiprocessing", "concurrent.futures")
+
+
+def _process_mechanisms(source: str) -> list[str]:
+    """Each import of multiprocessing or concurrent.futures in source, and
+    each use of os.fork."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+            modules += [f"{node.module}.{alias.name}" for alias in node.names]
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr == "fork"
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "os"
+        ):
+            modules = ["os.fork"]
+        else:
+            continue
+        found.extend(
+            m for m in modules
+            if m == "os.fork" or any(m == o or m.startswith(o + ".") for o in _OTHER_MECHANISMS)
+        )
+    return found
+
+
+def test_only_forked_starts_processes():
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        uses = _process_mechanisms(path.read_text(encoding="utf-8"))
+        if uses:
+            found[path.name] = uses
+    assert found == {"forked.py": ["os.fork"]}
+
+
+def test_the_check_sees_every_process_mechanism():
+    source = (
+        "import os, multiprocessing.pool\n"
+        "from concurrent import futures\n"
+        "from concurrent.futures import ProcessPoolExecutor\n"
+        "from os import fork\n"
+        "import concurrently, forkserver\n"
+        "pid = os.fork()\n"
+        "ok = hasattr(os, 'fork')\n"
+    )
+    assert _process_mechanisms(source) == [
+        "multiprocessing.pool",
+        "concurrent.futures",
+        "concurrent.futures",
+        "concurrent.futures.ProcessPoolExecutor",
+        "os.fork",
+        "os.fork",
     ]
 
 

@@ -691,7 +691,7 @@ from espunct import pipeline
 
 out = Path(sys.argv[1])
 
-def hold(group):
+def hold(*args):
     (out / f"worker-{os.getpid()}").touch()
     time.sleep(60)
 
