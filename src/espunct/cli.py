@@ -3,17 +3,16 @@
 Corpus-shaping subcommands move JSONL files around; `experiment` runs
 the full grid from one config file, `serve` answers newline-delimited
 JSON requests over stdio or TCP, and `predict` punctuates a single
-line.  Files ending in .jsonl are corpus records; any other input file
-is read as plain text, one utterance per line.  Records are shaped by
-corpus.as_labeled and corpus.as_text, as in the pipeline.
+line.  Every input corpus is read by corpus.read_corpus and its records
+shaped by corpus.as_labeled and corpus.as_text, as in the pipeline.
 
 normalize, extract and convert, and select's pass over its pool, cut a
 large input after a newline into at most one chunk per CPU; this process
 works the first chunk while forked ones work the rest (see forked), and
 the output is written in file order.  Their output bytes are those of
 one process reading the whole file, since they work record by record;
-when a chunk fails, this process works the whole file once more and
-fails as that one process does.
+when one of several chunks fails, this process works the whole file
+once more and fails as that one process does.
 
 Exit codes: 0 success, 2 bad arguments (out-of-range numbers included)
 or configuration, 3 data errors; each error type carries its code.
@@ -38,14 +37,15 @@ from .corpus import (
     as_text,
     extract_labels,  # noqa: F401  unused here, but bench/ wraps it by this name
     jsonl_line,
-    jsonl_records,
     normalize_punctuation,
+    read_bytes,
+    read_corpus,
     read_jsonl,  # noqa: F401  unused here, but bench/ wraps it by this name
     write_jsonl,
     write_lines_atomic,
 )
 from .crosslingual import anglicize_to_spanish_conventions
-from .errors import ConfigError, EmptyCorpus, IoFailure, MalformedRecord, PunctError, WorkerLost
+from .errors import ConfigError, MalformedRecord, PunctError, WorkerLost
 from .evaluate import DEFAULT_REPAIR, evaluate, write_report_json
 from .forked import cpus, run_forked
 from .pipeline import (
@@ -84,13 +84,6 @@ def _seed_override(default: int | None = None) -> int | None:
 _MIN_CHUNK_BYTES = 1 << 17
 
 
-def _read_bytes(p: Path) -> bytes:
-    try:
-        return p.read_bytes()
-    except OSError as exc:
-        raise IoFailure(f"cannot read {p}: {exc}") from exc
-
-
 def _chunks(data: bytes) -> list[tuple[int, int]]:
     """The (start, stop) offsets of data cut into at most one chunk per
     CPU, and fewer when the chunks would hold under _MIN_CHUNK_BYTES.  The
@@ -104,60 +97,15 @@ def _chunks(data: bytes) -> list[tuple[int, int]]:
     return list(zip(starts, starts[1:] + [len(data)]))
 
 
-def _text_lines(data: bytes, bom: bool) -> list[tuple[int, str]]:
-    """The non-blank lines of a plain-text file with their 1-based numbers.
-
-    Lines end at "\n" only, and one "\r" before it is dropped.  Other
-    Unicode line breaks (U+2028, U+0085, U+001C-U+001E) stay inside the
-    line as whitespace between tokens, so line numbers agree with the
-    count of "\n" that names a non-UTF-8 line.  With bom, a leading byte
-    order mark is dropped, after decoding, so that count still runs over
-    the file's own bytes.
-    """
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise MalformedRecord(data.count(b"\n", 0, exc.start) + 1, "not UTF-8 text") from None
-    if bom:
-        text = text.removeprefix("\ufeff")
-    return [
-        (n, line.removesuffix("\r"))
-        for n, line in enumerate(text.split("\n"), start=1)
-        if line.strip()
-    ]
-
-
-def _work_records(
-    p: Path,
-    data: bytes,
-    shape: Callable[[list], list],
-    finish: Callable[[list], object],
-    bounds: tuple[int, int],
+def _work_chunk(
+    p: Path, data: bytes, shape: Callable, finish: Callable, bounds: tuple[int, int]
 ) -> tuple[type, object]:
     """(the record type, finish(shape(records))) for the records of the
-    corpus file p whose bytes are data, within bounds, worked as one
-    process works the whole file: it reads every record, a file with no
-    records is EmptyCorpus, and a MalformedRecord from shape names the
-    line of its record.  Lines are numbered from the start of bounds."""
-    start, stop = bounds
-    if p.suffix == ".jsonl":
-        raws = data[start:stop].split(b"\n")
-        if not raws[-1]:
-            raws.pop()
-        records = jsonl_records(raws)
-        lines = range(1, len(records) + 1)
-    else:
-        numbered = _text_lines(data[start:stop], start == 0)
-        lines = [n for n, _ in numbered]
-        records = [RawUtterance(t) for _, t in numbered]
-    if not records:
-        raise EmptyCorpus(f"{p} holds no utterances")
-    try:
-        shaped = shape(records)
-    except MalformedRecord as exc:
-        # Blank lines are not records, so map the record's position back.
-        raise MalformedRecord(lines[exc.line_number - 1], exc.reason) from None
-    return type(records[0]), finish(shaped)
+    corpus file p whose bytes are data, within bounds (see read_corpus)."""
+    kind, shaped = read_corpus(
+        p, lambda records: (type(records[0]), shape(records)), data, bounds
+    )
+    return kind, finish(shaped)
 
 
 def _map_corpus(
@@ -166,36 +114,24 @@ def _map_corpus(
     """finish(shape(records)) for each chunk of the corpus at path, in file
     order.  Chunks but the first are worked in forked processes.
 
-    When a chunk fails, or the chunks hold records of different types,
-    this process works the whole file once more and that run's failure is
-    raised, so every failure is one process's; a lost worker fails the
-    command as it is.
+    When one of several chunks fails, or the chunks hold records of
+    different types, this process works the whole file once more and that
+    run's failure is raised, so every failure is one process's; a lost
+    worker fails the command as it is.
     """
     p = Path(path)
-    data = _read_bytes(p)
-    job = partial(_work_records, p, data, shape, finish)
+    data = read_bytes(p)
+    job = partial(_work_chunk, p, data, shape, finish)
     bounds = _chunks(data)
     try:
         outcomes = run_forked(job, bounds, len(bounds), here=True)
-    except WorkerLost:
-        raise
-    except PunctError:
+    except PunctError as exc:
+        if isinstance(exc, WorkerLost) or len(bounds) == 1:
+            raise
         outcomes = []
     if len({kind for kind, _ in outcomes}) != 1:
         outcomes = [job((0, len(data)))]
     return [result for _, result in outcomes]
-
-
-def _read_corpus(path: str, shape: Callable[[list], list] = list) -> list:
-    """The records of the corpus at path through shape, read in this process."""
-    p = Path(path)
-    data = _read_bytes(p)
-    return _work_records(p, data, shape, lambda shaped: shaped, (0, len(data)))[1]
-
-
-def _read_labeled(path: str) -> list[LabeledUtterance]:
-    """The corpus at path through as_labeled; an error names the file's line."""
-    return _read_corpus(path, as_labeled)
 
 
 def _jsonl_lines(records: list[Utterance]) -> list[str]:
@@ -246,7 +182,7 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_select(args) -> int:
-    model = train_ngram(as_text(_read_corpus(args.model_corpus)), order=args.order)
+    model = train_ngram(as_text(read_corpus(args.model_corpus)), order=args.order)
 
     def lines_and_scores(pool: list[Utterance]) -> tuple[list[str], list[float]]:
         return _jsonl_lines(pool), score_pool(model, as_text(pool))
@@ -266,8 +202,8 @@ def _cmd_select(args) -> int:
 
 
 def _cmd_augment(args) -> int:
-    source = _read_labeled(args.source)
-    target = histogram(_read_labeled(args.target_corpus))
+    source = read_corpus(args.source, as_labeled)
+    target = histogram(read_corpus(args.target_corpus, as_labeled))
     grown = augment_to_distribution(
         source, target, _seed_override(args.seed), args.max_tokens
     )
@@ -290,8 +226,8 @@ def _cmd_convert(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    es = _read_labeled(args.es)
-    en = _read_labeled(args.en) if args.en else None
+    es = read_corpus(args.es, as_labeled)
+    en = read_corpus(args.en, as_labeled) if args.en else None
     config = TrainConfig(
         epochs=args.epochs,
         seed=_seed_override(args.seed),
@@ -305,7 +241,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     model = TaggerModel.load(args.model)
-    test = _read_labeled(args.test)
+    test = read_corpus(args.test, as_labeled)
     report = evaluate(
         model, test, apply_repair=args.repair, dataset_tag=Path(args.test).stem
     )

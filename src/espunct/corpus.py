@@ -6,7 +6,8 @@ to that token.  This module owns the label inventory (one table gives
 each kind of pair its opening, closing and full label), the punctuation
 normalizer, the reversible text<->labels mapping, JSONL round-trip IO,
 the atomic line writer every artifact goes through, JSON document IO,
-and the record conversions the CLI and the pipeline share (as_labeled, as_text).
+and what the CLI and the pipeline share: the one reader of a corpus
+file (read_corpus) and the record conversions (as_labeled, as_text).
 """
 
 from __future__ import annotations
@@ -20,10 +21,11 @@ from enum import Enum
 from itertools import repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, TypeVar, Union
 
 from .errors import (
     ConflictingMarks,
+    EmptyCorpus,
     IoFailure,
     MalformedRecord,
     PunctError,
@@ -219,6 +221,7 @@ class LabeledUtterance:
 
 
 Utterance = Union[RawUtterance, LabeledUtterance]
+_Shaped = TypeVar("_Shaped")
 
 
 # --- normalization ---------------------------------------------------------
@@ -465,23 +468,84 @@ def _encodable(rec: Utterance) -> bool:
     return True
 
 
-def read_jsonl(path: str | Path) -> list[Utterance]:
-    """Read a corpus file, one JSON record per line (see jsonl_records)."""
+def read_bytes(path: str | Path) -> bytes:
+    """The bytes of the file at path; an OSError is raised as IoFailure."""
     try:
-        with open(path, "rb") as fh:
-            return jsonl_records(fh)
+        return Path(path).read_bytes()
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
 
 
-def jsonl_records(lines: Iterable[bytes]) -> list[Utterance]:
-    """The records of a run of JSONL lines, numbered from 1.
+def read_jsonl(path: str | Path) -> list[Utterance]:
+    """Read a corpus file, one JSON record per line (see jsonl_records)."""
+    return jsonl_records(read_bytes(path))
+
+
+def read_corpus(
+    path: str | Path, shape: Callable[[list], _Shaped] = list,
+    data: bytes | None = None, bounds: tuple[int, int] | None = None,
+) -> _Shaped:
+    """shape(records) for the corpus file at path, whose bytes are data
+    (read from path when None): a .jsonl file holds one JSON record per
+    line (see jsonl_records), any other file one raw utterance per
+    non-blank line (see _text_lines).  bounds, a (start, stop) range of
+    data from a line start, reads only its lines, numbered from its start.
+    No records is EmptyCorpus; a MalformedRecord from shape, which numbers
+    records from 1, names its record's line."""
+    path = Path(path)
+    data = read_bytes(path) if data is None else data
+    start, stop = bounds or (0, len(data))
+    if path.suffix == ".jsonl":
+        records = jsonl_records(data[start:stop])
+        lines: Sequence[int] = range(1, len(records) + 1)
+    else:
+        numbered = _text_lines(data[start:stop], start == 0)
+        lines = [n for n, _ in numbered]
+        records = [RawUtterance(text) for _, text in numbered]
+    if not records:
+        raise EmptyCorpus(f"{path} holds no utterances")
+    try:
+        return shape(records)
+    except MalformedRecord as exc:
+        # Blank plain-text lines are not records: map a position to its line.
+        raise MalformedRecord(lines[exc.line_number - 1], exc.reason) from None
+
+
+def _text_lines(data: bytes, bom: bool) -> list[tuple[int, str]]:
+    """The non-blank lines of a plain-text file with their 1-based numbers.
+
+    Lines end at "\n" only, and one "\r" before it is dropped.  Other
+    Unicode line breaks (U+2028, U+0085, U+001C-U+001E) stay inside the
+    line as whitespace between tokens, so line numbers agree with the
+    count of "\n" that names a non-UTF-8 line.  With bom, a leading byte
+    order mark is dropped, after decoding, so that count still runs over
+    the file's own bytes.
+    """
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedRecord(data.count(b"\n", 0, exc.start) + 1, "not UTF-8 text") from None
+    if bom:
+        text = text.removeprefix("\ufeff")
+    return [
+        (n, line.removesuffix("\r"))
+        for n, line in enumerate(text.split("\n"), start=1)
+        if line.strip()
+    ]
+
+
+def jsonl_records(data: bytes) -> list[Utterance]:
+    """The records of JSONL bytes, one per line, numbered from 1; a final
+    newline ends the last line.
 
     Raw records carry "text"; labeled records carry "tokens" and
-    "labels".  A run may hold either shape but not a mixture.  Lines are
+    "labels".  A file may hold either shape but not a mixture.  Lines are
     decoded one at a time so a non-UTF-8 byte names its line, and so does
     a \\u escape that leaves a lone surrogate in a record's strings.
     """
+    lines = data.split(b"\n")
+    if not lines[-1]:
+        lines.pop()
     records: list[Utterance] = []
     for line_number, raw in enumerate(lines, start=1):
         try:

@@ -8,7 +8,8 @@ phase train and evaluate in parallel, in worker processes forked by
 forked.run_forked, the helper the CLI's chunked commands use too.  Every
 intermediate corpus is written to disk; rerunning the same config
 reproduces every byte.
-The CLI shares its record shaping (corpus.as_labeled, as_text) and parse_strategy.
+The CLI shares its corpus reader (corpus.read_corpus), its record shaping
+(corpus.as_labeled, as_text) and parse_strategy.
 
 The serving half answers newline-delimited JSON with a saved model: one
 byte-level loop, serve_lines, over stdin/stdout or each TCP connection.
@@ -21,6 +22,7 @@ import socketserver
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import BinaryIO, Sequence
 
@@ -38,8 +40,9 @@ from .corpus import (
     as_text,
     extract_labels,  # noqa: F401  unused here, but bench/ wraps it by this name
     normalize_punctuation,
+    read_corpus,
     read_json,
-    read_jsonl,
+    read_jsonl,  # noqa: F401  unused here, but bench/ wraps it by this name
     render,
     write_jsonl,
     write_lines_atomic,
@@ -48,7 +51,6 @@ from .crosslingual import anglicize_to_spanish_conventions
 from .errors import (
     ConfigError,
     DataLeakageError,
-    EmptyCorpus,
     MalformedRequest,
     PipelineError,
     PunctError,
@@ -306,17 +308,13 @@ def load_config(path: str | Path, seed_override: int | None = None) -> Experimen
 
 def _load(config: ExperimentConfig) -> dict[str, list[LabeledUtterance]]:
     """Every configured dataset as labeled records by source name, each
-    loaded in stage load:<datasets key> in _DATASETS order.  An empty file
-    is EmptyCorpus."""
+    read by read_corpus in stage load:<datasets key> in _DATASETS order."""
     loaded = {}
     for key, source in _DATASETS.items():
         path = config.datasets.get(source)
         if path is not None:
             with _stage(f"load:{key}"):
-                records = read_jsonl(path)
-                if not records:
-                    raise EmptyCorpus(f"{path} holds no utterances")
-                loaded[source] = as_labeled(records, source)
+                loaded[source] = read_corpus(path, partial(as_labeled, default_source=source))
     return loaded
 
 

@@ -46,16 +46,16 @@ from espunct.selection import (
     select_lowest_perplexity,
     train_ngram,
 )
-from espunct.synthetic import (
+from espunct.synthetic import transfer_benchmark
+from espunct.tagger import Strategy, TrainConfig, oversample, run_strategy, train
+
+from generators import (
     random_english_labels,
     random_label_sequence,
     random_labeled_utterance,
     random_token,
     rule_corpus,
-    transfer_benchmark,
 )
-from espunct.tagger import Strategy, TrainConfig, oversample, run_strategy, train
-
 from helpers import RefWittenBell, labels
 
 DATA = Path(__file__).parent / "data"

@@ -14,9 +14,9 @@ from espunct.cli import main
 from espunct.corpus import RawUtterance, read_jsonl, render, write_jsonl
 from espunct.evaluate import DEFAULT_REPAIR
 from espunct.selection import MAX_ORDER
-from espunct.synthetic import rule_corpus
 from espunct.tagger import TaggerModel
 
+from generators import rule_corpus
 from helpers import BAD_MODEL_CHANGES, child_process_left, labels, lu
 
 

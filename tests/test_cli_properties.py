@@ -236,14 +236,14 @@ def test_without_fork_a_file_is_one_chunk(tmp_path, monkeypatch):
 def test_a_chunked_run_works_its_file_again_only_on_failure(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_MIN_CHUNK_BYTES", 1)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    real = cli._work_records
+    real = cli._work_chunk
     worked = []  # forked workers append to their own copies
 
     def spy(p, data, shape, finish, bounds):
         worked.append(bounds)
         return real(p, data, shape, finish, bounds)
 
-    monkeypatch.setattr(cli, "_work_records", spy)
+    monkeypatch.setattr(cli, "_work_chunk", spy)
     path, out = tmp_path / "in.txt", tmp_path / "out.jsonl"
     # A clean file: this process works its first chunk alone.  A file
     # whose last line fails: its first chunk, then the whole file once.
@@ -255,3 +255,9 @@ def test_a_chunked_run_works_its_file_again_only_on_failure(tmp_path, monkeypatc
         worked.clear()
         assert main(["extract", "--in", str(path), "--out", str(out)]) == code
         assert worked == [chunks[0]] + ([(0, len(data))] if code else [])
+    # A failing file in one chunk: that chunk is the whole file, worked once.
+    monkeypatch.setattr(cli, "_MIN_CHUNK_BYTES", len(data) + 1)
+    assert cli._chunks(data) == [(0, len(data))]
+    worked.clear()
+    assert main(["extract", "--in", str(path), "--out", str(out)]) == 3
+    assert worked == [(0, len(data))]

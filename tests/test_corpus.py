@@ -28,8 +28,8 @@ from espunct.errors import (
     MalformedRecord,
     UnsupportedPunctuation,
 )
-from espunct.synthetic import random_labeled_utterance
 
+from generators import random_labeled_utterance
 from helpers import labels, lu
 
 DATA = Path(__file__).parent / "data"

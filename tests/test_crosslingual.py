@@ -8,8 +8,8 @@ from espunct.corpus import LabeledUtterance, PunctClass, render
 from espunct.crosslingual import anglicize_to_spanish_conventions
 from espunct.errors import AlreadySpanishConvention
 from espunct.postprocess import validate_pairing
-from espunct.synthetic import random_english_labels
 
+from generators import random_english_labels
 from helpers import labels, lu
 
 

@@ -5,8 +5,8 @@ import pytest
 from espunct.corpus import CLASS_ORDER, PunctClass
 from espunct.errors import BadFractions, EmptyTestSet, PredictionLengthMismatch
 from espunct.evaluate import evaluate, split_corpus
-from espunct.synthetic import rule_corpus
 
+from generators import rule_corpus
 from helpers import labels, lu
 
 

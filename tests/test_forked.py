@@ -24,8 +24,8 @@ from espunct.cli import main
 from espunct.corpus import RawUtterance, write_jsonl
 from espunct.errors import EmptyCorpus, WorkerLost
 from espunct.forked import run_forked
-from espunct.synthetic import rule_corpus
 
+from generators import rule_corpus
 from helpers import child_process_left
 
 

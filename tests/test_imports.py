@@ -8,7 +8,8 @@ names must also be an attribute of the package.  A module-level name
 with one leading underscore must be read somewhere in the package, as a
 name or as an attribute, so no helper outlives its last caller.  Only
 forked.py uses os.fork, and no module imports multiprocessing or
-concurrent.futures.
+concurrent.futures.  Only corpus.py splits a corpus file into lines or
+parses its JSONL records.
 """
 
 import ast
@@ -142,6 +143,50 @@ def test_only_forked_starts_processes():
         if uses:
             found[path.name] = uses
     assert found == {"forked.py": ["os.fork"]}
+
+
+# Every corpus file is read by corpus.read_corpus (or read_jsonl); no
+# other module splits a file into lines or parses JSONL records itself.
+_READER_PARTS = ("jsonl_records", "_text_lines")
+
+
+def _reader_parts(source: str) -> list[str]:
+    """Each name in _READER_PARTS that source defines, imports or reads,
+    once per occurrence, sorted."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.append(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.append(node.attr)
+        elif isinstance(node, ast.alias):
+            names.append(node.name.rpartition(".")[2])
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names.append(node.name)
+    return sorted(name for name in names if name in _READER_PARTS)
+
+
+def test_only_corpus_reads_a_corpus_file():
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        parts = _reader_parts(path.read_text(encoding="utf-8"))
+        if parts:
+            found[path.name] = sorted(set(parts))
+    assert found == {"corpus.py": sorted(_READER_PARTS)}
+
+
+def test_the_check_sees_every_reader_part():
+    source = (
+        "from .corpus import jsonl_records as records\n"
+        "import espunct.corpus\n"
+        "def _text_lines(data):\n"
+        "    return data\n"
+        "lines = espunct.corpus.jsonl_records(b'')\n"
+        "text_lines = _text_lines\n"
+    )
+    assert _reader_parts(source) == [
+        "_text_lines", "_text_lines", "jsonl_records", "jsonl_records"
+    ]
 
 
 def test_the_check_sees_every_process_mechanism():

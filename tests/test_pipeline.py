@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from espunct.cli import main as cli_main
 from espunct.corpus import (
     BOUNDARY_CHARS,
     REJECTED_BOUNDARY,
@@ -50,10 +51,11 @@ from espunct.pipeline import (
     tokenize_for_restore,
 )
 from espunct.selection import MAX_ORDER, select_lowest_perplexity, train_ngram
-from espunct.synthetic import rule_corpus, transfer_benchmark
+from espunct.synthetic import transfer_benchmark
 from espunct import pipeline, tagger
 from espunct.tagger import Strategy, TrainConfig, continue_train, run_strategy, train
 
+from generators import rule_corpus
 from helpers import child_process_left, count_trains, labels, lu
 
 
@@ -829,6 +831,62 @@ def test_a_grid_load_error_names_its_dataset_and_line(data_dir, tmp_path):
         "stage 'load:opensubtitle_pool': line 2: "
         "token '(risas)' keeps unnormalized punctuation '('"
     )
+
+
+# Each fault, the dataset key it is loaded under, the file's bytes, and
+# the "line N: reason" the grid and `espunct extract` both report.
+_LOAD_FAULTS = {
+    "not-utf8": (
+        "es_indomain", b'{"text": "hola."}\n{"text": "\xff."}\n', "line 2: not UTF-8 text"
+    ),
+    "blank-line": ("ldc", b'{"text": "hola."}\n\n{"text": "vale."}\n', "line 2: blank line"),
+    "raw-after-labeled": (
+        "en_indomain",
+        b'{"tokens": ["hola"], "labels": ["PERIOD"]}\n{"text": "vale."}\n',
+        "line 2: file mixes raw and labeled records",
+    ),
+    "lone-surrogate": (
+        "opensubtitle_pool",
+        b'{"text": "hola."}\n{"text": "\\ud800 vale."}\n',
+        "line 2: record holds a lone surrogate",
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(_LOAD_FAULTS))
+def test_a_grid_load_error_is_the_one_extract_reports(fault, data_dir, tmp_path, capsys):
+    key, content, reason = _LOAD_FAULTS[fault]
+    path = tmp_path / "faulty.jsonl"
+    path.write_bytes(content)
+    assert cli_main(["extract", "--in", str(path), "--out", str(tmp_path / "x.jsonl")]) == 3
+    assert capsys.readouterr().err == f"error: {reason}\n"
+    obj = base_config(data_dir, tmp_path / "out")
+    obj["datasets"][key] = str(path)
+    with pytest.raises(PipelineError) as err:
+        run_experiment(config_from_dict(obj, data_dir))
+    assert err.value.stage == f"load:{key}"
+    assert isinstance(err.value.cause, MalformedRecord)
+    assert str(err.value) == f"stage 'load:{key}': {reason}"
+
+
+def test_a_plain_text_dataset_loads_as_its_jsonl_twin(data_dir, tmp_path):
+    texts = [render(u) for u in read_jsonl(data_dir / "es.jsonl")]
+    write_jsonl([RawUtterance(text) for text in texts], tmp_path / "es.jsonl")
+    # Blank lines in plain text are not records.
+    lines = [text + "\n" for text in texts]
+    (tmp_path / "es.txt").write_text("".join(lines[:5] + ["\n"] + lines[5:]), encoding="utf-8")
+    written = []
+    for name in ("es.jsonl", "es.txt"):
+        out = tmp_path / f"out-{name}"
+        obj = {
+            "schema_version": 1,
+            "datasets": {"es_indomain": name},
+            "strategies": ["ES_ONLY"],
+            "output_dir": str(out),
+        }
+        run_experiment(config_from_dict(obj, tmp_path))
+        written.append((out / "es_train.jsonl").read_bytes())
+    assert written[0] == written[1] and written[0]
 
 
 @pytest.mark.parametrize(

@@ -14,8 +14,9 @@ from hypothesis import given, settings, strategies as st
 from espunct.corpus import extract_labels, normalize_punctuation
 from espunct.errors import PunctError
 from espunct.pipeline import handle_request_line, tokenize_for_restore
-from espunct.synthetic import rule_corpus
 from espunct.tagger import TrainConfig, train
+
+from generators import rule_corpus
 
 SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 

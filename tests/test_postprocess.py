@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from espunct.corpus import PunctClass, terminal_count
 from espunct.postprocess import repair_pairing, validate_pairing
-from espunct.synthetic import random_label_sequence, random_valid_labels
 
+from generators import random_label_sequence, random_valid_labels
 from helpers import labels, reference_repair_pairing, reference_validate_pairing
 
 

@@ -21,8 +21,8 @@ from espunct.selection import (
     train_ngram,
     write_selection_report,
 )
-from espunct.synthetic import rule_corpus
 
+from generators import rule_corpus
 from helpers import EOS, RefWittenBell, UNK, reference_lm_tokenize
 
 

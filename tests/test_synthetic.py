@@ -10,7 +10,9 @@ import hashlib
 import pytest
 
 from espunct.corpus import write_jsonl
-from espunct.synthetic import rule_corpus, transfer_benchmark
+from espunct.synthetic import transfer_benchmark
+
+from generators import rule_corpus
 
 _TRANSFER_DIGESTS = {
     0: {

@@ -19,7 +19,7 @@ from espunct.errors import (
     TargetTooSmall,
     UnconvertedEnglish,
 )
-from espunct.synthetic import random_labeled_utterance, rule_corpus, transfer_benchmark
+from espunct.synthetic import transfer_benchmark
 from espunct.tagger import (
     DEFAULT_LABEL_SET,
     FEATURE_TEMPLATES,
@@ -36,6 +36,7 @@ from espunct.tagger import (
     train,
 )
 
+from generators import random_labeled_utterance, rule_corpus
 from helpers import BAD_MODEL_CHANGES, _feature_list, count_trains, labels, lu
 
 

@@ -13,8 +13,9 @@ from hypothesis import given, settings, strategies as st
 
 from espunct.errors import ModelLoadError
 from espunct.pipeline import handle_request_line
-from espunct.synthetic import rule_corpus
 from espunct.tagger import DEFAULT_LABEL_SET, TaggerModel, TrainConfig, train
+
+from generators import rule_corpus
 
 SETTINGS = settings(max_examples=500, deadline=None, derandomize=True, database=None)
 
