@@ -6,13 +6,13 @@ JSON requests over stdio or TCP, and `predict` punctuates a single
 line.  Every input corpus is read by corpus.read_corpus and its records
 shaped by corpus.as_labeled and corpus.as_text, as in the pipeline.
 
-normalize, extract and convert, and select's pass over its pool, cut a
-large input after a newline into at most one chunk per CPU; this process
-works the first chunk while forked ones work the rest (see forked), and
-the output is written in file order.  Their output bytes are those of
-one process reading the whole file, since they work record by record;
-when one of several chunks fails, this process works the whole file
-once more and fails as that one process does.
+normalize, extract and convert (one command over a table), and select's
+pass over its pool, map one function over the chunks of a large input,
+cut after a newline, one per CPU at most; this process works the first
+chunk while forked ones work the rest (see forked).  The output, in file
+order, is the bytes of one process reading the whole file, since they
+work record by record; when one of several chunks fails, this process
+works the whole file once more and fails as that one process does.
 
 Exit codes: 0 success, 2 bad arguments (out-of-range numbers included)
 or configuration, 3 data errors; each error type carries its code.
@@ -30,7 +30,6 @@ from typing import Callable, Sequence
 
 from .augment import DEFAULT_MAX_TOKENS, augment_to_distribution, histogram, write_histogram_report
 from .corpus import (
-    LabeledUtterance,
     RawUtterance,
     Utterance,
     as_labeled,
@@ -43,6 +42,7 @@ from .corpus import (
     read_jsonl,  # noqa: F401  unused here, but bench/ wraps it by this name
     write_jsonl,
     write_lines_atomic,
+    writes_together,
 )
 from .crosslingual import anglicize_to_spanish_conventions
 from .errors import ConfigError, MalformedRecord, PunctError, WorkerLost
@@ -97,21 +97,14 @@ def _chunks(data: bytes) -> list[tuple[int, int]]:
     return list(zip(starts, starts[1:] + [len(data)]))
 
 
-def _work_chunk(
-    p: Path, data: bytes, shape: Callable, finish: Callable, bounds: tuple[int, int]
-) -> tuple[type, object]:
-    """(the record type, finish(shape(records))) for the records of the
-    corpus file p whose bytes are data, within bounds (see read_corpus)."""
-    kind, shaped = read_corpus(
-        p, lambda records: (type(records[0]), shape(records)), data, bounds
-    )
-    return kind, finish(shaped)
+def _work_chunk(p: Path, data: bytes, transform: Callable, bounds: tuple[int, int]) -> tuple:
+    """(the record type, transform(records)) for the records of the corpus
+    file p whose bytes are data, within bounds (see read_corpus)."""
+    return read_corpus(p, lambda records: (type(records[0]), transform(records)), data, bounds)
 
 
-def _map_corpus(
-    path: str, shape: Callable[[list], list], finish: Callable[[list], object]
-) -> list:
-    """finish(shape(records)) for each chunk of the corpus at path, in file
+def _map_corpus(path: str, transform: Callable[[list], object]) -> list:
+    """transform(records) for each chunk of the corpus at path, in file
     order.  Chunks but the first are worked in forked processes.
 
     When one of several chunks fails, or the chunks hold records of
@@ -121,7 +114,7 @@ def _map_corpus(
     """
     p = Path(path)
     data = read_bytes(p)
-    job = partial(_work_chunk, p, data, shape, finish)
+    job = partial(_work_chunk, p, data, transform)
     bounds = _chunks(data)
     try:
         outcomes = run_forked(job, bounds, len(bounds), here=True)
@@ -132,10 +125,6 @@ def _map_corpus(
     if len({kind for kind, _ in outcomes}) != 1:
         outcomes = [job((0, len(data)))]
     return [result for _, result in outcomes]
-
-
-def _jsonl_lines(records: list[Utterance]) -> list[str]:
-    return list(map(jsonl_line, records))
 
 
 def _normalized(records: list[Utterance]) -> list[RawUtterance]:
@@ -150,6 +139,25 @@ def _normalized(records: list[Utterance]) -> list[RawUtterance]:
         except ValueError:
             raise MalformedRecord(position, "text has no tokens after normalization") from None
     return out
+
+
+# The record-wise commands: name -> (help, what a list of records becomes).
+# as_labeled is looked up when a command runs, so that replacing it in
+# this module, as tests do, reaches the commands.
+_RECORDWISE: dict[str, tuple[str, Callable[[list[Utterance]], list[Utterance]]]] = {
+    "normalize": ("reduce punctuation to the supported inventory", _normalized),
+    "extract": ("normalize and convert text to token labels", lambda records: as_labeled(records)),
+    "convert": ("rewrite close-only labels to Spanish pairs", lambda records: [
+        anglicize_to_spanish_conventions(u) for u in as_labeled(records)
+    ]),
+}
+
+
+def _cmd_recordwise(args) -> int:
+    shape = _RECORDWISE[args.command][1]
+    chunks = _map_corpus(args.infile, lambda records: list(map(jsonl_line, shape(records))))
+    write_lines_atomic(args.out, chain.from_iterable(chunks))
+    return 0
 
 
 def _at_least(low: int, high: int | None = None):
@@ -167,37 +175,24 @@ def _at_least(low: int, high: int | None = None):
     return integer
 
 
-def _write_chunks(path: str, chunks: list[list[str]]) -> None:
-    write_lines_atomic(path, chain.from_iterable(chunks))
-
-
-def _cmd_normalize(args) -> int:
-    _write_chunks(args.out, _map_corpus(args.infile, _normalized, _jsonl_lines))
-    return 0
-
-
-def _cmd_extract(args) -> int:
-    _write_chunks(args.out, _map_corpus(args.infile, as_labeled, _jsonl_lines))
-    return 0
-
-
 def _cmd_select(args) -> int:
     model = train_ngram(as_text(read_corpus(args.model_corpus)), order=args.order)
 
     def lines_and_scores(pool: list[Utterance]) -> tuple[list[str], list[float]]:
-        return _jsonl_lines(pool), score_pool(model, as_text(pool))
+        return list(map(jsonl_line, pool)), score_pool(model, as_text(pool))
 
-    chunks = _map_corpus(args.pool, list, lines_and_scores)
+    chunks = _map_corpus(args.pool, lines_and_scores)
     lines = [line for chunk, _ in chunks for line in chunk]
     scores = [score for _, chunk in chunks for score in chunk]
     # Lines are parallel to scores, so the kept records keep the input's
-    # shape: raw stays raw, labeled stays labeled.  Selecting before any
-    # write, and writing the report only after --out, means a failed
-    # select leaves no artifact behind.
+    # shape: raw stays raw, labeled stays labeled.
     kept = select_lowest_perplexity(model, lines, args.k, scores=scores)
-    write_lines_atomic(args.out, kept)
-    if args.report:
-        write_selection_report(scores, args.report)
+    # Neither file is put in place before both are written, so a failed
+    # select leaves no artifact behind.
+    with writes_together():
+        write_lines_atomic(args.out, kept)
+        if args.report:
+            write_selection_report(scores, args.report)
     return 0
 
 
@@ -207,21 +202,12 @@ def _cmd_augment(args) -> int:
     grown = augment_to_distribution(
         source, target, _seed_override(args.seed), args.max_tokens
     )
-    # Every histogram is built before the first write, so a failed
+    # Neither file is put in place before both are written, so a failed
     # augment leaves no artifact behind.
-    before_after = (histogram(source), histogram(grown)) if args.report else None
-    write_jsonl(grown, args.out)
-    if before_after:
-        write_histogram_report(target, *before_after, args.report)
-    return 0
-
-
-def _converted_lines(records: list[LabeledUtterance]) -> list[str]:
-    return _jsonl_lines([anglicize_to_spanish_conventions(u) for u in records])
-
-
-def _cmd_convert(args) -> int:
-    _write_chunks(args.out, _map_corpus(args.infile, as_labeled, _converted_lines))
+    with writes_together():
+        write_jsonl(grown, args.out)
+        if args.report:
+            write_histogram_report(target, histogram(source), histogram(grown), args.report)
     return 0
 
 
@@ -302,15 +288,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("normalize", help="reduce punctuation to the supported inventory")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_normalize)
-
-    p = sub.add_parser("extract", help="normalize and convert text to token labels")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_extract)
+    for name, (summary, _) in _RECORDWISE.items():
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--in", dest="infile", required=True)
+        p.add_argument("--out", required=True)
+        p.set_defaults(func=_cmd_recordwise)
 
     p = sub.add_parser("select", help="keep the k lowest-perplexity pool utterances")
     p.add_argument("--model-corpus", required=True)
@@ -329,11 +311,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--report", help="write before/after histogram masses as TSV")
     p.set_defaults(func=_cmd_augment)
-
-    p = sub.add_parser("convert", help="rewrite close-only labels to Spanish pairs")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_convert)
 
     p = sub.add_parser("train", help="train a tagger with a data-ordering strategy")
     p.add_argument("--strategy", required=True)

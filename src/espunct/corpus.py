@@ -16,12 +16,14 @@ import json
 import os
 import re
 import stat
+from contextlib import contextmanager, suppress
+from contextvars import ContextVar
 from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Sequence, TypeVar, Union
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar, Union
 
 from .errors import (
     ConflictingMarks,
@@ -591,26 +593,53 @@ def write_lines_atomic(path: str | Path, lines: Iterable[str]) -> None:
     and no temporary file behind.  Any other target (a symlink, a device,
     a FIFO, a file in a read-only directory) is written in place, since
     renaming onto it would replace the link or node, or cannot be done.
-    An OSError is raised as IoFailure."""
+    An OSError is raised as IoFailure.  Inside a writes_together block
+    the rename waits for the end of the block."""
     path = Path(path)
-    if _replaceable(path):
-        target = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    else:
-        target = path
+    target = path.with_name(f".{path.name}.{os.getpid()}.tmp") if _replaceable(path) else path
     try:
         with open(target, "w", encoding="utf-8") as fh:
             fh.writelines(lines)
-        if target is not path:
-            os.replace(target, path)
     except BaseException as exc:
         if target is not path:
-            try:
+            with suppress(OSError):
                 os.unlink(target)
-            except OSError:
-                pass
         if isinstance(exc, OSError):
             raise IoFailure(f"cannot write {path}: {exc}") from exc
         raise
+    if target is not path:
+        with writes_together() as renames:
+            renames[path] = target
+
+
+# Target -> its temporary file, for the renames of the open writes_together block.
+_held_renames: ContextVar[dict[Path, Path] | None] = ContextVar("_held_renames", default=None)
+
+
+@contextmanager
+def writes_together() -> Iterator[dict[Path, Path]]:
+    """Hold back write_lines_atomic's renames until the block ends, then
+    make them all; if it raises, make none and remove the temporary files,
+    so each missing or regular target stays as it was.  Blocks nest: an
+    inner one yields the outer one's renames, target -> temporary file."""
+    renames = _held_renames.get()
+    if renames is not None:
+        yield renames
+        return
+    renames = {}
+    token = _held_renames.set(renames)
+    try:
+        yield renames
+        for path, temporary in renames.items():
+            try:
+                os.replace(temporary, path)
+            except OSError as exc:
+                raise IoFailure(f"cannot write {path}: {exc}") from exc
+    finally:
+        _held_renames.reset(token)
+        for temporary in renames.values():
+            with suppress(OSError):
+                os.unlink(temporary)  # gone already once renamed
 
 
 def read_json(path: str | Path, error: type[PunctError], what: str) -> object:

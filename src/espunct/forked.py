@@ -2,7 +2,8 @@
 
 The CLI's chunked corpus commands and the experiment grid's phase groups
 both run through run_forked.  A child inherits everything the job needs
-at fork, so only results cross the pipe, pickled.  Each child checks
+at fork, so only results cross the pipe, pickled; what the pipe cannot
+hold waits in the child until the parent reads it.  Each child checks
 four times a second that the process that forked it lives and exits
 once it is gone, so a killed parent leaves no worker writing files.
 A forked child holds only the thread that forked it, so callers fork
@@ -25,9 +26,6 @@ _Result = TypeVar("_Result")
 
 # How often a child checks that the process that forked it lives.
 PARENT_POLL_S = 0.25
-# Pipe capacity asked for, the default ceiling for an unprivileged process
-# on Linux (/proc/sys/fs/pipe-max-size).
-_PIPE_BYTES = 1 << 20
 
 
 def cpus() -> int:
@@ -46,11 +44,13 @@ def run_forked(
 
     Each job runs in a forked child, at most workers at once; with here,
     the first job runs in this process, which then counts as one of the
-    workers, once the first children have started.  A job starts only
-    while no job has failed.  Once every started job has ended, the
-    failure of the earliest job is raised: its own exception, or
-    WorkerLost when its child could not start or ended without a result.  Where there is no
-    fork, every job runs here, in order.
+    workers, once the first children have started.  An idle parent wastes
+    a CPU: on 2 vCPUs, the benchmark's seed-1 prep pass took 482 ms with
+    here off, 436 ms with it on (medians of 20 interleaved in-process
+    rounds).  A job starts only while no job has failed.  Once every
+    started job has ended, the earliest job's failure is raised: its own
+    exception, or WorkerLost when its child could not start or ended
+    without a result.  Where there is no fork, every job runs here.
     """
     if not hasattr(os, "fork"):
         return [work(job) for job in jobs]
@@ -112,19 +112,11 @@ def run_forked(
 def _fork(work, job) -> tuple[int, int]:
     """Start a child that pipes back pickled (True, work(job)), or (False,
     the exception); returns the pipe's read end and the child's pid."""
-    # Imported before the fork, so the child imports nothing; fcntl exists
-    # only where fork does.
-    import fcntl
+    # Imported before the fork, so the child imports nothing.
     import pickle
 
     parent = os.getpid()
     read_fd, write_fd = os.pipe()
-    try:
-        # A pipe that holds a whole result lets the child hand it over and
-        # exit while this process is still busy with its own job.
-        fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
-    except (AttributeError, OSError):
-        pass  # not Linux, or more than the system lets one pipe hold
     try:
         pid = os.fork()
     except OSError:

@@ -1,17 +1,26 @@
-"""Acceptance gate: ten end-to-end checks, one test per criterion.
+"""Acceptance gate: ten end-to-end checks, one test per criterion, and
+determinism checked once more across interpreters.
 
 Each test states its tolerances inline; together they cover round-trip
 integrity, normalization, convention conversion, selection equivalence,
 augmentation convergence, pairing repair, tagger learnability, transfer
-directions, experiment determinism, and serving parity plus latency.
+directions, experiment determinism (on this interpreter and on every
+other CPython 3.10+ on PATH), and serving parity plus latency.
 """
 
+import hashlib
 import json
+import os
 import random
+import shutil
 import statistics
+import subprocess
+import sys
 import time
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 from espunct.augment import (
     TerminalHistogram,
@@ -310,6 +319,48 @@ def test_c09_end_to_end_determinism(tmp_path):
     assert "report_aug.json" in names
     for name in names:
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+def _digests(out: Path) -> dict[str, str]:
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+
+
+def test_c09_every_interpreter_writes_the_same_bytes(tmp_path):
+    """Every other CPython 3.10+ on PATH writes the grid's artifacts byte
+    for byte as this one does.  A float sum whose arithmetic changed
+    between versions (sum() compensates from 3.12) shows here once it
+    reaches an artifact's bytes."""
+    others = []
+    for minor in range(10, 15):
+        exe = shutil.which(f"python3.{minor}")
+        if minor == sys.version_info.minor or exe is None:
+            continue
+        probe = subprocess.run(
+            [exe, "-c", "import sys; print(sys.implementation.name, *sys.version_info[:2])"],
+            capture_output=True, text=True, timeout=60,
+        )
+        if probe.returncode == 0 and probe.stdout.split() == ["cpython", "3", str(minor)]:
+            others.append(exe)
+    if not others:
+        pytest.skip("no other CPython 3.10+ on PATH starts")
+    obj = _experiment_fixture(tmp_path)
+    obj["output_dir"] = str(tmp_path / "here")
+    run_experiment(config_from_dict(obj, tmp_path))
+    want = _digests(tmp_path / "here")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {k: v for k, v in os.environ.items() if k != "PUNCT_SEED"}
+    env.update(PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+    for exe in others:
+        out = tmp_path / Path(exe).name
+        obj["output_dir"] = str(out)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(obj), encoding="utf-8")
+        proc = subprocess.run(
+            [exe, "-m", "espunct.cli", "experiment", "--config", str(config)],
+            env=env, capture_output=True, text=True, timeout=600,
+        )
+        assert proc.returncode == 0, (exe, proc.stderr)
+        assert _digests(out) == want, exe
 
 
 def test_c10_serving_parity_and_latency():

@@ -146,6 +146,17 @@ def test_failed_select_writes_nothing(tmp_path, capsys):
     assert code == 3
     assert "Is a directory" in capsys.readouterr().err
     assert not report.exists()
+    # A --report that cannot be written fails after --out is written, and
+    # --out is not put in place either.
+    out = tmp_path / "kept_too.jsonl"
+    code = main([
+        "select", "--model-corpus", str(model_corpus), "--pool", str(pool),
+        "--k", "1", "--out", str(out), "--report", str(tmp_path / "missing" / "rep.tsv"),
+    ])
+    assert code == 3
+    assert "cannot write" in capsys.readouterr().err
+    assert not out.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.jsonl", "model.txt", "pool.txt"]
 
 
 def test_failed_augment_writes_nothing(tmp_path, capsys):
@@ -162,6 +173,17 @@ def test_failed_augment_writes_nothing(tmp_path, capsys):
     assert "no utterances" in capsys.readouterr().err
     assert not report.exists()
     assert not out.exists()
+    # A --report that cannot be written leaves --out as it was.
+    out.write_text("old\n", encoding="utf-8")
+    code = main([
+        "augment", "--source", str(target), "--target-corpus", str(target),
+        "--out", str(out), "--report", str(tmp_path / "missing" / "hist.tsv"),
+    ])
+    assert code == 3
+    assert "cannot write" in capsys.readouterr().err
+    assert out.read_text(encoding="utf-8") == "old\n"
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert names == ["empty.jsonl", "grown.jsonl", "target.jsonl"]
 
 
 def test_augment_matches_target_and_reports(tmp_path):

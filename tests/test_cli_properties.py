@@ -239,9 +239,9 @@ def test_a_chunked_run_works_its_file_again_only_on_failure(tmp_path, monkeypatc
     real = cli._work_chunk
     worked = []  # forked workers append to their own copies
 
-    def spy(p, data, shape, finish, bounds):
+    def spy(p, data, transform, bounds):
         worked.append(bounds)
-        return real(p, data, shape, finish, bounds)
+        return real(p, data, transform, bounds)
 
     monkeypatch.setattr(cli, "_work_chunk", spy)
     path, out = tmp_path / "in.txt", tmp_path / "out.jsonl"
@@ -260,4 +260,42 @@ def test_a_chunked_run_works_its_file_again_only_on_failure(tmp_path, monkeypatc
     assert cli._chunks(data) == [(0, len(data))]
     worked.clear()
     assert main(["extract", "--in", str(path), "--out", str(out)]) == 3
+    assert worked == [(0, len(data))]
+
+
+# A last line each command refuses: select keeps text that normalizes to
+# nothing, but no line that is not UTF-8.
+_FAILING_LINE = {"normalize": "\u00ab\u00bb", "convert": "\u00ab\u00bb", "select": "\ud800"}
+
+
+@pytest.mark.parametrize("command", sorted(_FAILING_LINE))
+def test_every_chunked_command_works_its_file_again_only_on_failure(
+    command, tmp_path, monkeypatch
+):
+    monkeypatch.setattr(cli, "_MIN_CHUNK_BYTES", 1)
+    real = cli._work_chunk
+    worked = []  # forked workers append to their own copies
+
+    def spy(p, data, transform, bounds):
+        worked.append(bounds)
+        return real(p, data, transform, bounds)
+
+    monkeypatch.setattr(cli, "_work_chunk", spy)
+    path, bad = tmp_path / "in.txt", _FAILING_LINE[command]
+    # A clean file: this process works its first chunk alone.  A file
+    # whose last line fails: its first chunk, then the whole file once.
+    for content, code in (("hola.\nvale.\nbien.\n", 0), (f"hola.\nvale.\n{bad}\n", 3)):
+        _write(path, content)
+        data = path.read_bytes()
+        with monkeypatch.context() as mp:
+            mp.setattr(os, "cpu_count", lambda: 3)
+            chunks = cli._chunks(data)
+        assert len(chunks) == 3
+        worked.clear()
+        assert _outcome(command, path, 3)[0] == code
+        assert worked == [chunks[0]] + ([(0, len(data))] if code else [])
+    # A failing file in one chunk: that chunk is the whole file, worked once.
+    monkeypatch.setattr(cli, "_MIN_CHUNK_BYTES", len(data) + 1)
+    worked.clear()
+    assert _outcome(command, path, 3)[0] == 3
     assert worked == [(0, len(data))]

@@ -21,6 +21,7 @@ from espunct.corpus import (
     terminal_count,
     write_jsonl,
     write_lines_atomic,
+    writes_together,
 )
 from espunct.errors import (
     ConflictingMarks,
@@ -369,6 +370,25 @@ def test_atomic_write_replaces_the_whole_file(tmp_path):
     write_lines_atomic(path, ["z\n"])
     assert path.read_text(encoding="utf-8") == "z\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.tsv"]
+
+
+def test_writes_together_are_put_in_place_together(tmp_path):
+    kept, new = tmp_path / "kept.tsv", tmp_path / "new.jsonl"
+    kept.write_text("old\n", encoding="utf-8")
+    with pytest.raises(IoFailure, match="cannot write"):
+        with writes_together():
+            write_lines_atomic(kept, ["a\n"])
+            write_lines_atomic(new, ["b\n"])
+            write_lines_atomic(tmp_path / "missing" / "c.tsv", ["c\n"])
+    assert kept.read_text(encoding="utf-8") == "old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.tsv"]
+    with writes_together():
+        write_lines_atomic(kept, ["a\n"])
+        write_lines_atomic(new, ["b\n"])
+        assert kept.read_text(encoding="utf-8") == "old\n" and not new.exists()
+    assert kept.read_text(encoding="utf-8") == "a\n"
+    assert new.read_text(encoding="utf-8") == "b\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.tsv", "new.jsonl"]
 
 
 def test_write_goes_through_a_symlink(tmp_path):
