@@ -51,7 +51,11 @@ class TerminalHistogram:
 
     @property
     def mean(self) -> float:
-        return sum(k * p for k, p in self.buckets.items())
+        # A plain loop, whose last bit no Python changes: sum() compensates from 3.12.
+        total = 0.0
+        for k, p in self.buckets.items():
+            total += k * p
+        return total
 
 
 def histogram(corpus: Sequence[LabeledUtterance]) -> TerminalHistogram:

@@ -117,7 +117,7 @@ def _map_corpus(path: str, transform: Callable[[list], object]) -> list:
     job = partial(_work_chunk, p, data, transform)
     bounds = _chunks(data)
     try:
-        outcomes = run_forked(job, bounds, len(bounds), here=True)
+        outcomes = run_forked(job, bounds, here=True)
     except PunctError as exc:
         if isinstance(exc, WorkerLost) or len(bounds) == 1:
             raise

@@ -1,13 +1,13 @@
 """Jobs run in forked child processes that pipe their results back.
 
-The CLI's chunked corpus commands and the experiment grid's phase groups
-both run through run_forked.  A child inherits everything the job needs
-at fork, so only results cross the pipe, pickled; what the pipe cannot
-hold waits in the child until the parent reads it.  Each child checks
-four times a second that the process that forked it lives and exits
-once it is gone, so a killed parent leaves no worker writing files.
-A forked child holds only the thread that forked it, so callers fork
-from a process that runs no other thread.
+The CLI's chunked corpus commands and the experiment grid's shares of
+phase groups both run through run_forked, one child per job.  A child
+inherits everything its job needs at fork, so only results cross the
+pipe, pickled; what the pipe cannot hold waits in the child until the
+parent reads it.  Each child checks four times a second that the process
+that forked it lives and exits once it is gone, so a killed parent leaves
+no worker writing files.  A forked child holds only the thread that
+forked it, so callers fork from a process that runs no other thread.
 """
 
 from __future__ import annotations
@@ -37,17 +37,17 @@ def cpus() -> int:
 def run_forked(
     work: Callable[[_Job], _Result],
     jobs: Sequence[_Job],
-    workers: int,
     here: bool = False,
 ) -> list[_Result]:
     """work(job) for every job, in job order.
 
-    Each job runs in a forked child, at most workers at once; with here,
-    the first job runs in this process, which then counts as one of the
-    workers, once the first children have started.  An idle parent wastes
-    a CPU: on 2 vCPUs, the benchmark's seed-1 prep pass took 482 ms with
-    here off, 436 ms with it on (medians of 20 interleaved in-process
-    rounds).  A job starts only while no job has failed.  Once every
+    Each job runs in a child forked for it, all at once, so callers keep
+    to about one job per CPU: on 2 vCPUs, the benchmark grid's four phase
+    groups took 3-8% longer in fresh children than in warm ones, with
+    5,330 minor page faults against 480.  With here, the first job runs
+    in this process once the others have started: an idle parent wastes
+    a CPU, and the benchmark's seed-1 prep pass took 482 ms with here
+    off, 436 ms on.  No job starts after a fork fails.  Once every
     started job has ended, the earliest job's failure is raised: its own
     exception, or WorkerLost when its child could not start or ended
     without a result.  Where there is no fork, every job runs here.
@@ -60,27 +60,20 @@ def run_forked(
     results: list = [None] * len(jobs)
     failures: dict[int, BaseException] = {}
     running: dict[int, tuple[int, int, list]] = {}  # read fd -> (job, pid, pieces read)
-    waiting = iter(range(1 if here else 0, len(jobs)))
     try:
-        while True:
-            while not failures and len(running) + here < workers:
-                i = next(waiting, None)
-                if i is None:
-                    break
-                try:
-                    fd, pid = _fork(work, jobs[i])
-                except OSError as exc:
-                    failures[i] = WorkerLost(f"cannot start a worker process: {exc}")
-                    break
-                running[fd] = (i, pid, [])
-            if here and not failures:
-                try:
-                    results[0] = work(jobs[0])
-                except Exception as exc:
-                    failures[0] = exc
-            here = False
-            if not running:
+        for i in range(1 if here else 0, len(jobs)):
+            try:
+                fd, pid = _fork(work, jobs[i])
+            except OSError as exc:
+                failures[i] = WorkerLost(f"cannot start a worker process: {exc}")
                 break
+            running[fd] = (i, pid, [])
+        if here and not failures:
+            try:
+                results[0] = work(jobs[0])
+            except Exception as exc:
+                failures[0] = exc
+        while running:
             for fd in select.select(list(running), [], [])[0]:
                 i, pid, pieces = running[fd]
                 data = os.read(fd, 1 << 16)

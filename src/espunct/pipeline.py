@@ -4,7 +4,8 @@ One JSON config drives the whole experiment grid: a shared seeded split,
 perplexity selection over the subtitle pool, histogram augmentation,
 English conversion, then one trained model and one evaluation report per
 configured row, plus a comparison table.  Rows that share no training
-phase train and evaluate in parallel, in worker processes forked by
+phase train and evaluate in parallel: the phase groups are dealt into
+one share per CPU, each trained in one worker process forked by
 forked.run_forked, the helper the CLI's chunked commands use too.  Every
 intermediate corpus is written to disk; rerunning the same config
 reproduces every byte.
@@ -479,20 +480,21 @@ def _run_groups(
     es_test: Sequence[LabeledUtterance],
     out_dir: Path,
 ) -> list[EvalReport]:
-    """Every row's report, in row order.  Each group of row indices trains in
-    a forked worker process, at most one per CPU, which inherits the rows'
-    corpora rather than unpickling them.  A group starts only when a worker
-    is free, so once one group fails no waiting group starts."""
+    """Every row's report, in row order.  The groups of row indices are dealt
+    into one share per CPU, and each share trains in a forked worker process,
+    which inherits the rows' corpora rather than unpickling them.  A worker
+    trains its groups in order and stops at its first failure; the earliest
+    share's failure is raised once every worker has ended."""
+    n = min(cpus(), len(groups))
     done = run_forked(
-        lambda group: _run_group(group, config, data, es_test, out_dir),
-        groups,
-        min(cpus(), len(groups)),
+        lambda share: [
+            pair for group in share
+            for pair in zip(group, _run_group(group, config, data, es_test, out_dir))
+        ],
+        [groups[k::n] for k in range(n)],
     )
-    reports: list = [None] * len(config.rows)
-    for group, group_reports in zip(groups, done):
-        for i, report in zip(group, group_reports):
-            reports[i] = report
-    return reports
+    # The (row index, report) pairs of every share, sorted into row order.
+    return [report for _, report in sorted(pair for pairs in done for pair in pairs)]
 
 
 def _run_group(
@@ -502,8 +504,8 @@ def _run_group(
     es_test: Sequence[LabeledUtterance],
     out_dir: Path,
 ) -> list[EvalReport]:
-    """Worker job: train, save and evaluate the rows at the group's indices,
-    in row order; returns their reports."""
+    """Train, save and evaluate the rows at the group's indices in a
+    worker, in row order; returns their reports."""
     phase = _SharedPhase()
     reports = []
     for i in group:

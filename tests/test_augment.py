@@ -54,6 +54,12 @@ def test_histogram_refuses_bad_buckets(buckets, message):
         TerminalHistogram(buckets)
 
 
+def test_histogram_mean_sums_left_to_right_on_every_python():
+    # 1 * 0.2 + 2 * 0.1 + 3 * 0.4 + 4 * 0.3, left to right; sum() from
+    # Python 3.12 would give 2.8000000000000003.
+    assert TerminalHistogram({1: 0.2, 2: 0.1, 3: 0.4, 4: 0.3}).mean == 2.8
+
+
 def test_distribution_distance():
     a = TerminalHistogram({1: 1.0})
     b = TerminalHistogram({2: 1.0})

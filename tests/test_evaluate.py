@@ -182,6 +182,16 @@ def test_zero_support_classes_left_out_of_macro():
     assert report.per_class[PunctClass.COMMA].support == 0
 
 
+def test_macro_f1_sums_left_to_right_on_every_python():
+    gold = lu("a b c d e f g h i", "C N P P P CQ N N CQ")
+    model = _FixedModel({9: labels("C C P N N CQ CQ CQ N")})
+    report = evaluate(model, [gold], apply_repair=False)
+    scored = (PunctClass.COMMA, PunctClass.PERIOD, PunctClass.CLOSE_QUESTION)
+    assert [report.per_class[c].f1 for c in scored] == [2 / 3, 0.5, 0.4]
+    # ((2/3 + 0.5) + 0.4) / 3; sum() from Python 3.12 would give 0.5222222222222223.
+    assert report.macro_f1_non_none == 0.5222222222222221
+
+
 def test_empty_test_set():
     with pytest.raises(EmptyTestSet):
         evaluate(_FixedModel({}), [])

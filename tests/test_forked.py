@@ -1,11 +1,13 @@
 """The fork-and-pipe helper and the commands that run through it.
 
-run_forked gives results in job order, starts no job after a failure,
-raises the earliest job's failure, and runs every job in this process
-where there is no fork.  A worker that ends without a result, by its
-own exit or by a kill, fails a chunked corpus command and the grid
-alike with one error line, leaves no output and leaves no child, and
-a chunk worker whose parent is killed exits.
+run_forked gives results in job order, starts no job after a failed
+fork, raises the earliest job's failure, and runs every job in this
+process where there is no fork.  The grid forks one worker per share of
+phase groups, and a worker stops at its share's first failure while the
+others finish theirs.  A worker that ends without a result, by its own
+exit or by a kill, fails a chunked corpus command and the grid alike
+with one error line, leaves no output and leaves no child, and a chunk
+worker whose parent is killed exits.
 """
 
 import errno
@@ -15,6 +17,7 @@ import signal
 import subprocess
 import sys
 import time
+import types
 from pathlib import Path
 
 import pytest
@@ -34,9 +37,9 @@ def _square(n):
 
 
 def test_results_come_back_in_job_order():
-    assert run_forked(_square, [3, 1, 2], 2) == [9, 1, 4]
-    assert run_forked(_square, [3, 1, 2], 3, here=True) == [9, 1, 4]
-    assert run_forked(_square, [5], 1, here=True) == [25]
+    assert run_forked(_square, [3, 1, 2]) == [9, 1, 4]
+    assert run_forked(_square, [3, 1, 2], here=True) == [9, 1, 4]
+    assert run_forked(_square, [5], here=True) == [25]
 
 
 def test_the_earliest_failure_is_raised_once_every_job_ended(tmp_path):
@@ -47,26 +50,39 @@ def test_the_earliest_failure_is_raised_once_every_job_ended(tmp_path):
         return n
 
     with pytest.raises(EmptyCorpus, match="job 1"):
-        run_forked(job, [0, 1, 2, 3], 4, here=True)
+        run_forked(job, [0, 1, 2, 3], here=True)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["ran-0", "ran-1", "ran-2", "ran-3"]
 
 
-def test_no_job_starts_after_a_failure(tmp_path):
-    def job(n):
-        (tmp_path / f"ran-{n}").touch()
-        if n == 1:
-            raise EmptyCorpus("job 1")
-        return n
+@pytest.mark.parametrize(
+    "failing, raised",
+    [
+        pytest.param({1}, 1, id="one-share-fails"),
+        # Group 1 comes before group 4 in config order, but its share comes second.
+        pytest.param({1, 4}, 4, id="earliest-share-wins"),
+    ],
+)
+def test_a_failing_group_stops_only_its_own_share(failing, raised, tmp_path, monkeypatch):
+    def group_job(group, *args):
+        (tmp_path / f"ran-{group[0]}").touch()
+        if group[0] in failing:
+            raise EmptyCorpus(f"group {group[0]}")
+        return [group[0]]
 
-    with pytest.raises(EmptyCorpus):
-        run_forked(job, [0, 1, 2, 3], 1)
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["ran-0", "ran-1"]
+    monkeypatch.setattr(pipeline, "_run_group", group_job)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    config = types.SimpleNamespace(rows=[None] * 6)
+    # Two shares: groups 0, 2 and 4 in one worker, 1, 3 and 5 in the other.
+    with pytest.raises(EmptyCorpus, match=f"^group {raised}$"):
+        pipeline._run_groups([[n] for n in range(6)], config, [], [], tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ran-0", "ran-1", "ran-2", "ran-4"]
+    assert child_process_left() is None
 
 
 def test_without_fork_every_job_runs_here(monkeypatch):
     monkeypatch.delattr(os, "fork")
     parent = os.getpid()
-    assert run_forked(lambda n: (n, os.getpid()), [1, 2], 2) == [(1, parent), (2, parent)]
+    assert run_forked(lambda n: (n, os.getpid()), [1, 2]) == [(1, parent), (2, parent)]
 
 
 def _die(how):
@@ -84,7 +100,7 @@ _HOW = {
 @pytest.mark.parametrize("how", sorted(_HOW))
 def test_a_lost_job_is_a_worker_lost_error(how):
     with pytest.raises(WorkerLost, match=f"^{_HOW[how]}$"):
-        run_forked(lambda n: _die(how) if n else n, [0, 1], 2, here=True)
+        run_forked(lambda n: _die(how) if n else n, [0, 1], here=True)
 
 
 def test_a_worker_that_cannot_start_is_a_worker_lost_error(tmp_path, monkeypatch):
@@ -97,7 +113,7 @@ def test_a_worker_that_cannot_start_is_a_worker_lost_error(tmp_path, monkeypatch
 
     monkeypatch.setattr(os, "fork", no_fork)
     with pytest.raises(WorkerLost, match="^cannot start a worker process: "):
-        run_forked(job, [0, 1, 2], 3, here=True)
+        run_forked(job, [0, 1, 2], here=True)
     # The job this process holds does not start either.
     assert list(tmp_path.iterdir()) == []
 

@@ -52,7 +52,7 @@ from espunct.pipeline import (
 )
 from espunct.selection import MAX_ORDER, select_lowest_perplexity, train_ngram
 from espunct.synthetic import transfer_benchmark
-from espunct import pipeline, tagger
+from espunct import forked, pipeline, tagger
 from espunct.tagger import Strategy, TrainConfig, continue_train, run_strategy, train
 
 from generators import rule_corpus
@@ -657,6 +657,52 @@ def test_run_experiment_frees_phases_no_later_row_uses(data_dir, tmp_path, monke
     trained = [json.loads(line) for line in log.read_text(encoding="utf-8").splitlines()]
     assert trained == [["es", []], ["joint-es-en", []], ["en", []]]
     assert child_process_left() is None
+
+
+def test_run_experiment_forks_one_worker_per_share(data_dir, tmp_path, monkeypatch):
+    obj = base_config(data_dir, tmp_path / "apart")
+    obj["strategies"] = [
+        _row("es_only", "ES_ONLY"),
+        _row("joint", "JOINT"),
+        _row("es_then_en", "ES_THEN_EN"),
+        _row("en_then_es", "EN_THEN_ES"),
+        _row("aug_es_only", "ES_ONLY", ("indomain", "ldc", "opensubtitle"), True),
+    ]
+    obj["train"]["epochs"] = 1
+    # The reference: each of the four phase groups in a worker of its own.
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    run_experiment(config_from_dict(obj, data_dir))
+
+    forks = []
+    real_fork = forked._fork
+    monkeypatch.setattr(forked, "_fork", lambda work, job: forks.append(job) or real_fork(work, job))
+    log = tmp_path / "groups.log"
+    real_group = pipeline._run_group
+
+    def spy(group, *args):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps([os.getpid(), group]) + "\n")
+        return real_group(group, *args)
+
+    monkeypatch.setattr(pipeline, "_run_group", spy)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    obj["output_dir"] = str(tmp_path / "shared")
+    run_experiment(config_from_dict(obj, data_dir))
+    # Groups 0 and 2 share one worker, 1 and 3 the other, each in config order.
+    shares = [[[0, 2], [3]], [[1], [4]]]
+    assert forks == shares
+    by_pid: dict = {}
+    for line in log.read_text(encoding="utf-8").splitlines():
+        pid, group = json.loads(line)
+        by_pid.setdefault(pid, []).append(group)
+    assert os.getpid() not in by_pid
+    assert sorted(by_pid.values()) == shares
+    names = sorted(p.name for p in (tmp_path / "apart").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "shared").iterdir())
+    for name in names:
+        assert (tmp_path / "shared" / name).read_bytes() == (
+            tmp_path / "apart" / name
+        ).read_bytes(), name
 
 
 def test_run_experiment_failure_in_a_worker_starts_no_waiting_group(
