@@ -4,20 +4,21 @@ The CLI's chunked corpus commands and the experiment grid's shares of
 phase groups both run through run_forked, one child per job.  A child
 inherits everything its job needs at fork, so only results cross the
 pipe, pickled; what the pipe cannot hold waits in the child until the
-parent reads it.  Each child checks four times a second that the process
-that forked it lives and exits once it is gone, so a killed parent leaves
-no worker writing files.  A forked child holds only the thread that
-forked it, so callers fork from a process that runs no other thread.
+parent reads it, and the parent reads the pipes in job order, since a
+child writes only once its job is done.  Each child checks four times a
+second that the process that forked it lives and exits once it is gone,
+so a killed parent leaves no worker writing files.  A forked child holds
+only the thread that forked it, so callers fork from a process that runs
+no other thread.
 """
 
 from __future__ import annotations
 
 import os
-import select
 import signal
 import threading
 import time
-from typing import Callable, Sequence, TypeVar
+from typing import BinaryIO, Callable, Sequence, TypeVar
 
 from .errors import WorkerLost
 
@@ -47,64 +48,62 @@ def run_forked(
     5,330 minor page faults against 480.  With here, the first job runs
     in this process once the others have started: an idle parent wastes
     a CPU, and the benchmark's seed-1 prep pass took 482 ms with here
-    off, 436 ms on.  No job starts after a fork fails.  Once every
-    started job has ended, the earliest job's failure is raised: its own
-    exception, or WorkerLost when its child could not start or ended
-    without a result.  Where there is no fork, every job runs here.
+    off, 436 ms on.  No job starts after a fork fails.  The pipes are
+    read in job order, one at a time: every job is already running and
+    writes only once it is done, so no order gets the last result
+    sooner.  Once every started job has ended, the earliest job's
+    failure is raised: its own exception, or WorkerLost when its child
+    could not start or ended without a result.  Where there is no fork,
+    every job runs here.
     """
     if not hasattr(os, "fork"):
         return [work(job) for job in jobs]
     # Imported here: at module top it would slow every `import espunct.cli`.
     import pickle
 
-    results: list = [None] * len(jobs)
-    failures: dict[int, BaseException] = {}
-    running: dict[int, tuple[int, int, list]] = {}  # read fd -> (job, pid, pieces read)
+    outcomes: list = [None] * len(jobs)  # (ok, value), or None for a job never started
+    children: list = []  # (job, pipe, pid) not yet reaped, in job order
     try:
         for i in range(1 if here else 0, len(jobs)):
             try:
-                fd, pid = _fork(work, jobs[i])
+                pipe, pid = _fork(work, jobs[i])
             except OSError as exc:
-                failures[i] = WorkerLost(f"cannot start a worker process: {exc}")
+                outcomes[i] = (False, WorkerLost(f"cannot start a worker process: {exc}"))
                 break
-            running[fd] = (i, pid, [])
-        if here and not failures:
-            try:
-                results[0] = work(jobs[0])
-            except Exception as exc:
-                failures[0] = exc
-        while running:
-            for fd in select.select(list(running), [], [])[0]:
-                i, pid, pieces = running[fd]
-                data = os.read(fd, 1 << 16)
-                if data:
-                    pieces.append(data)
-                    continue
-                del running[fd]
-                os.close(fd)
-                status = os.waitpid(pid, 0)[1]
-                # A child exits 0 only once its whole outcome is written.
-                if status != 0:
-                    failures[i] = WorkerLost(_how(status))
-                else:
-                    ok, value = pickle.loads(b"".join(pieces))
-                    if ok:
-                        results[i] = value
-                    else:
-                        failures[i] = value
+            children.append((i, pipe, pid))
+        else:
+            if here:
+                outcomes[0] = _outcome(work, jobs[0])
+        while children:
+            i, pipe, pid = children[0]
+            data = pipe.read()
+            pipe.close()
+            status = os.waitpid(pid, 0)[1]
+            del children[0]
+            # A child exits 0 only once its whole outcome is written.
+            outcomes[i] = (False, WorkerLost(_how(status))) if status else pickle.loads(data)
     finally:
-        for fd, (_, pid, _) in running.items():
-            os.close(fd)
+        for _, pipe, pid in children:
+            pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    if failures:
-        raise failures[min(failures)]
-    return results
+    for outcome in outcomes:
+        if outcome and not outcome[0]:
+            raise outcome[1]
+    return [value for _, value in outcomes]
 
 
-def _fork(work, job) -> tuple[int, int]:
-    """Start a child that pipes back pickled (True, work(job)), or (False,
-    the exception); returns the pipe's read end and the child's pid."""
+def _outcome(work, job) -> tuple[bool, object]:
+    """(True, work(job)), or (False, the exception it raised)."""
+    try:
+        return True, work(job)
+    except Exception as exc:
+        return False, exc
+
+
+def _fork(work, job) -> tuple[BinaryIO, int]:
+    """Start a child that pipes back the pickled _outcome of work(job);
+    returns the pipe's read end and the child's pid."""
     # Imported before the fork, so the child imports nothing.
     import pickle
 
@@ -118,17 +117,13 @@ def _fork(work, job) -> tuple[int, int]:
         raise
     if pid:
         os.close(write_fd)
-        return read_fd, pid
+        return open(read_fd, "rb"), pid
     code = 1
     try:
         os.close(read_fd)
         threading.Thread(target=_exit_when_orphaned, args=(parent,), daemon=True).start()
-        try:
-            outcome = (True, work(job))
-        except Exception as exc:
-            outcome = (False, exc)
         with open(write_fd, "wb") as fh:
-            fh.write(pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL))
+            fh.write(pickle.dumps(_outcome(work, job), pickle.HIGHEST_PROTOCOL))
         code = 0
     finally:
         # Never return into the parent's code, nor run its exit handlers.

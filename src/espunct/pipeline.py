@@ -19,6 +19,7 @@ byte-level loop, serve_lines, over stdin/stdout or each TCP connection.
 from __future__ import annotations
 
 import json
+import os
 import socketserver
 import time
 from contextlib import contextmanager
@@ -279,6 +280,11 @@ def config_from_dict(
         isinstance(output_dir, str) and output_dir != "",
         "output_dir must be a non-empty path string",
     )
+    try:  # a JSON escape such as \ud800 decodes to a lone surrogate
+        usable = b"\0" not in os.fsencode(output_dir)
+    except UnicodeEncodeError:
+        usable = False
+    _require(usable, f"output_dir {output_dir!r} is not a path the OS can encode")
 
     return ExperimentConfig(
         datasets=datasets,

@@ -1,18 +1,20 @@
 """The fork-and-pipe helper and the commands that run through it.
 
-run_forked gives results in job order, starts no job after a failed
-fork, raises the earliest job's failure, and runs every job in this
-process where there is no fork.  The grid forks one worker per share of
-phase groups, and a worker stops at its share's first failure while the
-others finish theirs.  A worker that ends without a result, by its own
-exit or by a kill, fails a chunked corpus command and the grid alike
-with one error line, leaves no output and leaves no child, and a chunk
-worker whose parent is killed exits.
+run_forked gives results in job order, whole when they outgrow a pipe's
+buffer, starts no job after a failed fork, raises the earliest job's
+failure, kills and reaps every child when an exception escapes it, and
+runs every job in this process where there is no fork.  The grid forks
+one worker per share of phase groups, and a worker stops at its share's
+first failure while the others finish theirs.  A worker that ends
+without a result, by its own exit or by a kill, fails a chunked corpus
+command and the grid alike with one error line, leaves no output and
+leaves no child, and a chunk worker whose parent is killed exits.
 """
 
 import errno
 import json
 import os
+import random
 import signal
 import subprocess
 import sys
@@ -40,6 +42,37 @@ def test_results_come_back_in_job_order():
     assert run_forked(_square, [3, 1, 2]) == [9, 1, 4]
     assert run_forked(_square, [3, 1, 2], here=True) == [9, 1, 4]
     assert run_forked(_square, [5], here=True) == [25]
+
+
+def _megabyte(n):
+    if n == 0:
+        time.sleep(0.2)  # so the later children fill their pipes first
+    return random.Random(n).randbytes(1 << 20)
+
+
+@pytest.mark.parametrize("here", [False, True], ids=["here-off", "here-on"])
+def test_results_larger_than_a_pipe_come_back_whole_in_job_order(here):
+    jobs = [0, 3, 1, 2]
+    assert run_forked(_megabyte, jobs, here=here) == [_megabyte(n) for n in jobs]
+
+
+def test_an_exception_that_escapes_stops_every_child(tmp_path):
+    def job(n):
+        if n:
+            (tmp_path / f"ran-{n}").touch()
+            time.sleep(60)
+            return n
+        deadline = time.monotonic() + 10
+        while len(list(tmp_path.iterdir())) < 2 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        raise KeyboardInterrupt
+
+    started = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        run_forked(job, [0, 1, 2], here=True)
+    assert time.monotonic() - started < 15
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ran-1", "ran-2"]
+    assert child_process_left() is None
 
 
 def test_the_earliest_failure_is_raised_once_every_job_ended(tmp_path):

@@ -279,6 +279,27 @@ def test_config_rejections(data_dir, tmp_path):
     _expect_config_error(obj, data_dir, "augmentation.seed must be an integer")
 
 
+@pytest.mark.parametrize("value", ["\ud800", "a\0b"], ids=["lone-surrogate", "nul"])
+def test_config_rejects_an_output_dir_the_os_cannot_encode(value, data_dir, tmp_path, capsys):
+    message = f"output_dir {value!r} is not a path the OS can encode"
+    obj = base_config(data_dir, tmp_path / "out")
+    obj["output_dir"] = value
+    _expect_config_error(obj, data_dir, message)
+    # From a file, where the value is a JSON escape, it is a configuration error.
+    config = tmp_path / "config.json"
+    config.write_text(
+        json.dumps({
+            "schema_version": 1,
+            "datasets": {"es_indomain": str(data_dir / "es.jsonl")},
+            "strategies": ["ES_ONLY"],
+            "output_dir": value,
+        }),
+        encoding="utf-8",
+    )
+    assert cli_main(["experiment", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 _INT_KEYS = [
     ("config", "schema_version"),
     ("selection", "k"),
